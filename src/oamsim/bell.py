@@ -138,6 +138,13 @@ def _clean_probs(probs) -> np.ndarray:
     return p / total
 
 
+def _port_fraction(part: float, port_total: float, port: str) -> float:
+    # Same floor as e_value: below it the ratio is round-off over round-off.
+    if port_total < 1e-12:
+        raise ValueError(f"Alice's {port} port receives no coincidences")
+    return part / port_total
+
+
 @dataclass(frozen=True)
 class CoincidenceTable:
     """Coincidence data for one (theta, chi) setting pair.
@@ -162,16 +169,16 @@ class CoincidenceTable:
 
     def correlation(self) -> float:
         """C(theta, chi): Bob's paired-port fraction of Alice's theta-port counts."""
-        return self.d13 / (self.d13 + self.d14)
+        return _port_fraction(self.d13, self.d13 + self.d14, "theta")
 
     def correlations(self) -> dict[str, float]:
         a1 = self.d13 + self.d14
         a2 = self.d23 + self.d24
         return {
-            "C(theta,chi)": self.d13 / a1,
-            "C(theta,chi_perp)": self.d14 / a1,
-            "C(theta_perp,chi)": self.d23 / a2,
-            "C(theta_perp,chi_perp)": self.d24 / a2,
+            "C(theta,chi)": _port_fraction(self.d13, a1, "theta"),
+            "C(theta,chi_perp)": _port_fraction(self.d14, a1, "theta"),
+            "C(theta_perp,chi)": _port_fraction(self.d23, a2, "theta_perp"),
+            "C(theta_perp,chi_perp)": _port_fraction(self.d24, a2, "theta_perp"),
         }
 
     def e_value(self) -> float:

@@ -469,21 +469,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_int(env: dict, name: str, default):
+    """Integer config value; fractions, bools and non-numbers are rejected."""
+    value = env.get(name, default)
+    integral = ((isinstance(value, (int, str)) and not isinstance(value, bool))
+                or (isinstance(value, float) and value.is_integer()))
+    if value is not None and not integral:
+        raise ValidationError(f"config value {name!r} must be an integer, got {value!r}")
+    return value if value is None else int(value)
+
+
 def _fill_defaults(args) -> None:
     env = _env_defaults()
     if args.truncation is None:
-        args.truncation = int(env.get("truncation", 8))
+        args.truncation = _env_int(env, "truncation", 8)
     if args.truncation < 1:
         raise ValidationError("truncation must satisfy K >= 1")
     if args.spectrum is None and "spectrum" in env:
         args.spectrum = env["spectrum"] if isinstance(env["spectrum"], str) \
             else json.dumps(env["spectrum"])
     if args.shots is None:
-        args.shots = int(env.get("shots", 0))
+        args.shots = _env_int(env, "shots", 0)
     if args.shots < 0:
         raise ValidationError("shots must be >= 0")
-    if args.seed is None and "seed" in env:
-        args.seed = int(env["seed"])
+    if args.seed is None:
+        args.seed = _env_int(env, "seed", None)
     if args.format is None:
         args.format = str(env.get("format", "json"))
     if args.format != "json":

@@ -409,23 +409,41 @@ def build_projection(theta: float, variant: str = "tunable_bs") -> Circuit:
 # Dense oracle
 
 
+def _element_block(elem: Element, basis: ModeBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices of the modes on the element's paths, and its block there.
+
+    Every other mode passes through unchanged, so the element's unitary is
+    the identity with this t x t block written into rows and columns `idx`.
+    """
+    local = ModeBasis(elem.paths(), basis.truncation)
+    block = np.zeros((local.size, local.size), dtype=complex)
+    for a in range(local.size):
+        for key, factor, _ in _key_action(elem, local.key_at(a), basis.truncation):
+            block[local.index(key), a] += factor
+    return np.array([basis.index(local.key_at(a)) for a in range(local.size)]), block
+
+
 def element_matrix(elem: Element, basis: ModeBasis) -> np.ndarray:
     """Materialize one element as a dense unitary on the basis."""
-    n = basis.size
-    u = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for key, factor, _ in _key_action(elem, basis.key_at(j), basis.truncation):
-            u[basis.index(key), j] += factor
+    idx, block = _element_block(elem, basis)
+    u = np.eye(basis.size, dtype=complex)
+    u[np.ix_(idx, idx)] = block
     return u
 
 
 def circuit_unitary(circuit: Circuit, truncation: int,
                     extra_paths=()) -> tuple[np.ndarray, ModeBasis]:
-    """Dense unitary of a whole circuit (matrix product of its elements)."""
+    """Dense unitary of a whole circuit, built element by element.
+
+    Each element acts only on the rows of the t modes on its own paths, so
+    its step is the row-block product u[idx] = block @ u[idx], which costs
+    t * t * n multiply-adds.
+    """
     basis = ModeBasis(tuple(circuit.paths()) + tuple(extra_paths), truncation)
     u = np.eye(basis.size, dtype=complex)
     for elem in circuit.elements:
-        u = element_matrix(elem, basis) @ u
+        idx, block = _element_block(elem, basis)
+        u[idx] = block @ u[idx]
     return u, basis
 
 

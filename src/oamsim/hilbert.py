@@ -28,6 +28,7 @@ __all__ = [
     "NORM_TOL",
     "NORM_CHECK_TOL",
     "PRUNE_EPS",
+    "DENSE_BYTES_LIMIT",
     "DENSE_DIM_LIMIT",
     "TruncationError",
     "NormalizationError",
@@ -56,7 +57,8 @@ ODD = "odd"
 NORM_TOL = 1e-12        # norm deviation allowed after normalize()
 NORM_CHECK_TOL = 1e-9   # how well-normalized an input must be for measurements
 PRUNE_EPS = 1e-15       # amplitudes below this magnitude may be dropped
-DENSE_DIM_LIMIT = 2 ** 14
+DENSE_BYTES_LIMIT = 256 * 2 ** 20  # one n x n complex128 matrix of the oracle
+DENSE_DIM_LIMIT = math.isqrt(DENSE_BYTES_LIMIT // np.dtype(complex).itemsize)
 
 
 class TruncationError(ValueError):
@@ -382,14 +384,15 @@ class ModeBasis:
         self.truncation = int(truncation)
         if not self.paths:
             raise ValueError("a basis needs at least one path")
+        dim = len(self.paths) * len(POLARIZATIONS) * (2 * self.truncation + 1)
+        if dim > DENSE_DIM_LIMIT:
+            raise ValueError(
+                f"dense dimension {dim} exceeds limit {DENSE_DIM_LIMIT}")
         keys = [ModeKey(p, pol, m)
                 for p in self.paths
                 for pol in POLARIZATIONS
                 for m in range(-self.truncation, self.truncation + 1)]
         keys.sort()
-        if len(keys) > DENSE_DIM_LIMIT:
-            raise ValueError(
-                f"dense dimension {len(keys)} exceeds limit {DENSE_DIM_LIMIT}")
         self._keys = keys
         self._index = {key: i for i, key in enumerate(keys)}
 

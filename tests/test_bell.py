@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oamsim.bell import (
+    CoincidenceTable,
     ProjectionSetting,
     TSIRELSON,
     chsh,
@@ -136,6 +137,21 @@ class TestCoincidence:
     def test_sampling_requires_seed(self):
         with pytest.raises(ValueError):
             coincidence(vortex_state(), 0.0, 0.1, shots=10)
+
+
+    def test_dark_analyzer_port_has_no_correlation(self):
+        # One-term spectrum: photon 1 is even only, so theta = pi/2 is dark.
+        state = vortex_state(spectrum=SpectrumModel.from_dict(
+            {"kind": "explicit", "coeffs": [[0, 1.0]]}))
+        tab = coincidence(state, math.pi / 2.0, math.pi / 8.0)
+        with pytest.raises(ValueError):
+            tab.correlation()
+        with pytest.raises(ValueError):
+            tab.correlations()
+        lit = CoincidenceTable(0.0, 0.0, 0.25, 0.75, 0.0, 0.0)
+        assert lit.correlation() == 0.25
+        with pytest.raises(ValueError):
+            lit.correlations()
 
 
 class TestCHSH:

@@ -50,6 +50,19 @@ class TestBellCommand:
         assert report["error"]["code"] == "validation"
 
 
+    def test_empty_analyzer_port_is_a_json_error(self, capsys):
+        # A one-term spectrum leaves Alice's theta port dark at theta = 90 deg.
+        code = main(["bell", "--theta", "90", "--theta2", "45", "--chi", "22.5",
+                     "--chi2", "67.5", "--spectrum",
+                     '{"kind":"explicit","coeffs":[[0,1.0]]}'])
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["code"] == "validation"
+        assert captured.err == ""
+
+
 class TestDensecodeCommand:
     @pytest.mark.parametrize("message", ["00", "01", "10", "11"])
     def test_analytic_accuracy(self, capsys, message):
@@ -233,6 +246,26 @@ class TestCliContract:
         assert code == 0
         assert report["config"]["truncation"] == 5
         assert report["config"]["seed"] == 99
+
+    @pytest.mark.parametrize("cfg_value", [{"truncation": 2.7}, {"truncation": True},
+                                           {"shots": 1.5, "seed": 1}, {"seed": 2.5},
+                                           {"seed": False}, {"truncation": [4]}])
+    def test_env_config_rejects_non_integers(self, capsys, tmp_path, monkeypatch,
+                                             cfg_value):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps(cfg_value))
+        monkeypatch.setenv("OAMSIM_CONFIG", str(cfg))
+        code, report = run_json(capsys, "sorter", "--m", "1")
+        assert code == 2
+        assert report["error"]["code"] == "validation"
+
+    def test_env_config_accepts_integral_float(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"truncation": 3.0}))
+        monkeypatch.setenv("OAMSIM_CONFIG", str(cfg))
+        code, report = run_json(capsys, "sorter", "--m", "1")
+        assert code == 0
+        assert report["config"]["truncation"] == 3
 
     def test_cli_flags_override_env_config(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "defaults.json"

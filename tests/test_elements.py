@@ -5,7 +5,9 @@ import pytest
 
 from oamsim.elements import (
     Circuit,
+    Element,
     WrapGuardError,
+    _key_action,
     apply_circuit,
     apply_element,
     beam_splitter,
@@ -23,6 +25,7 @@ from oamsim.elements import (
     element_matrix,
     half_wave_plate,
     mirror,
+    phase_delay,
     polarizing_bs,
     spiral_phase_plate,
 )
@@ -34,6 +37,7 @@ from oamsim.hilbert import (
     TwoPhotonState,
     mode,
 )
+from oamsim.soba import build_soba
 from helpers import pool_paths, random_circuit, random_full_state, random_oam_state
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -244,3 +248,55 @@ class TestCircuits:
                 "elements": [{"kind": "prism", "in": ["in"], "out": ["in"]}]}
         with pytest.raises(ValueError):
             circuit_from_dict(desc)
+
+
+def reference_element_matrix(elem, basis):
+    """Column-by-column materialization over every basis mode (reference)."""
+    u = np.zeros((basis.size, basis.size), dtype=complex)
+    for j in range(basis.size):
+        for key, factor, _ in _key_action(elem, basis.key_at(j), basis.truncation):
+            u[basis.index(key), j] += factor
+    return u
+
+
+ONE_OF_EACH_KIND = (
+    beam_splitter("p0", "p1", "p2", "p3", t=0.3),
+    polarizing_bs("p2", "p3", "p4", "p5"),
+    dove_prism("p4", 1.1),
+    spiral_phase_plate("p5", 2),
+    half_wave_plate("p0", 0.4),
+    phase_delay("p1", 2.2),
+    mirror("p3", "p5"),
+)
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("truncation", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_blocks_equal_full_product(self, seed, truncation):
+        rng = np.random.default_rng(300 + seed)
+        circuits = [random_circuit(rng, int(rng.integers(1, 13))),
+                    Circuit("kinds", ONE_OF_EACH_KIND, "p0", ()), build_soba()]
+        for circuit in circuits:
+            u, basis = circuit_unitary(circuit, truncation)
+            product = np.eye(basis.size, dtype=complex)
+            for elem in circuit.elements:
+                product = element_matrix(elem, basis) @ product
+            assert np.abs(u - product).max() < 1e-12
+
+    @pytest.mark.parametrize("elem", ONE_OF_EACH_KIND, ids=lambda e: e.kind)
+    def test_element_matrix_is_identity_off_its_paths(self, elem):
+        basis = ModeBasis(pool_paths() + ("q",), 2)
+        u = element_matrix(elem, basis)
+        assert np.array_equal(u, reference_element_matrix(elem, basis))
+        off = [i for i in range(basis.size) if basis.key_at(i).path not in elem.paths()]
+        assert np.array_equal(u[:, off], np.eye(basis.size)[:, off])
+        assert np.array_equal(u[off, :], np.eye(basis.size)[off, :])
+
+    def test_unknown_element_kind_raises(self):
+        elem = Element("prism", ("p0",), ("p0",))
+        basis = ModeBasis(("p0",), 1)
+        with pytest.raises(ValueError):
+            element_matrix(elem, basis)
+        with pytest.raises(ValueError):
+            circuit_unitary(Circuit("bad", (elem,), "p0", ()), 1)

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from oamsim import hilbert
 from oamsim.hilbert import (
+    DENSE_BYTES_LIMIT,
+    DENSE_DIM_LIMIT,
     EVEN,
     H,
     ODD,
@@ -206,3 +209,17 @@ class TestModeBasis:
         paths = [f"p{i}" for i in range(100)]
         with pytest.raises(ValueError):
             ModeBasis(paths, 50)
+
+    def test_dimension_limit_fits_the_byte_budget(self):
+        assert DENSE_DIM_LIMIT == 4096
+        assert DENSE_DIM_LIMIT ** 2 * 16 <= DENSE_BYTES_LIMIT
+        assert ModeBasis(("a", "b"), 511).size == 4092
+        with pytest.raises(ValueError):
+            ModeBasis(("a", "b"), 512)
+
+    def test_dimension_checked_before_building_keys(self, monkeypatch):
+        def no_keys(*args):
+            raise AssertionError("key list built before the dimension check")
+        monkeypatch.setattr(hilbert, "ModeKey", no_keys)
+        with pytest.raises(ValueError, match="exceeds limit"):
+            ModeBasis(("in",), 10 ** 6)

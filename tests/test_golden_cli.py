@@ -1,0 +1,49 @@
+"""Golden CLI corpus: every report must stay byte-identical.
+
+Each case in golden/cases.json names an argv; golden/<name>.out holds the
+exit code on its first line and the exact stdout after it.  The cases are
+replayed in-process through `cli.main`.
+
+After an intended change of a report, rewrite the files with
+    PYTHONPATH=src python tests/test_golden_cli.py --update
+and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from oamsim import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return f"{code}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_report_is_byte_identical(case, monkeypatch, capsys):
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    expected = (GOLDEN / f"{case['name']}.out").read_text(encoding="utf-8")
+    assert _run(case["argv"]) == expected
+
+
+def _update() -> None:
+    os.environ.pop(cli.CONFIG_ENV, None)
+    for case in CASES:
+        (GOLDEN / f"{case['name']}.out").write_text(_run(case["argv"]),
+                                                    encoding="utf-8")
+
+
+if __name__ == "__main__" and "--update" in sys.argv:
+    _update()

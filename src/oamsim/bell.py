@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import apply_circuit, build_projection, coincidence_detect, detect
-from .hilbert import V, PhotonState, TwoPhotonState
+from .hilbert import DENSE_BYTES_LIMIT, V, PhotonState, TwoPhotonState
 
 __all__ = [
     "TSIRELSON",
@@ -30,8 +30,10 @@ __all__ = [
     "CHSHResult",
     "chsh",
     "EkertResult",
+    "EKERT_ROUNDS_LIMIT",
     "ekert_run",
     "task_rng",
+    "sample_counts",
 ]
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -45,10 +47,23 @@ _CHSH_COMBOS = ((0, 0), (0, 2), (2, 0), (2, 2))
 
 VARIANTS = ("tunable_bs", "polarization")
 
+# Peak bytes ekert_run holds per round (tracemalloc: 43.9 at 1e5 rounds and
+# 43.7 at 1e6), rounded up; the round count is bounded by the same memory
+# budget as the dense oracle.
+EKERT_BYTES_PER_ROUND = 48
+EKERT_ROUNDS_LIMIT = DENSE_BYTES_LIMIT // EKERT_BYTES_PER_ROUND
+
 
 def task_rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic sub-stream for (seed, task indices); thread-count neutral."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
+
+
+def sample_counts(probs, shots: int, seed: int | None, *key: int) -> np.ndarray:
+    """One multinomial draw of `shots` over the cleaned probabilities."""
+    if seed is None:
+        raise ValueError("sampled mode requires a seed")
+    return task_rng(seed, *key).multinomial(int(shots), _clean_probs(probs))
 
 
 @dataclass(frozen=True)
@@ -202,10 +217,7 @@ def coincidence(s: TwoPhotonState, theta: float, chi: float,
     d13, d14, d23, d24 = _joint_probs(s, theta, chi, variant)
     if shots <= 0:
         return CoincidenceTable(theta, chi, d13, d14, d23, d24)
-    if seed is None:
-        raise ValueError("sampled mode requires a seed")
-    probs = _clean_probs([d13, d14, d23, d24])
-    counts = task_rng(seed, 2).multinomial(int(shots), probs)
+    counts = sample_counts([d13, d14, d23, d24], shots, seed, 2)
     return CoincidenceTable(theta, chi, d13, d14, d23, d24, mode="sampled",
                             shots=int(shots), seed=int(seed),
                             counts=tuple(int(c) for c in counts))
@@ -229,9 +241,7 @@ def chsh(s: TwoPhotonState, theta: float, theta2: float, chi: float, chi2: float
     for i, (t, c) in enumerate(pairs):
         d = _joint_probs(s, t, c, variant)
         if shots > 0:
-            if seed is None:
-                raise ValueError("sampled mode requires a seed")
-            counts = task_rng(seed, 2, i).multinomial(int(shots), _clean_probs(d))
+            counts = sample_counts(d, shots, seed, 2, i)
             tables.append(CoincidenceTable(t, c, *d, mode="sampled",
                                            shots=int(shots), seed=int(seed),
                                            counts=tuple(int(x) for x in counts)))
@@ -280,6 +290,8 @@ def ekert_run(s: TwoPhotonState, rounds: int, seed: int,
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if rounds > EKERT_ROUNDS_LIMIT:
+        raise ValueError(f"rounds {rounds} exceeds limit {EKERT_ROUNDS_LIMIT}")
     base = task_rng(seed, 0)
     a_idx = base.integers(0, 3, size=rounds)
     b_idx = base.integers(0, 3, size=rounds)

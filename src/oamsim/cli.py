@@ -18,8 +18,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import bell, soba, tomography
 from .elements import (
     WrapGuardError,
@@ -34,7 +32,10 @@ from .hilbert import (
     PhotonState,
     SpectrumModel,
     TruncationError,
+    is_integral,
     mode,
+    oam_index,
+    parse_coeff_rows,
     state_to_records,
 )
 from .jsonfmt import dumps, format_float
@@ -144,17 +145,12 @@ def _parse_state(text: str, truncation: int) -> PhotonState:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad state {text!r}: {exc}") from exc
     try:
-        amps = {}
         if "coeffs" in data:
-            for row in data["coeffs"]:
-                m = int(row[0])
-                re = float(row[1])
-                im = float(row[2]) if len(row) > 2 else 0.0
-                key = mode(m)
-                amps[key] = amps.get(key, 0j) + complex(re, im)
+            amps = {mode(m): c for m, c in parse_coeff_rows(data["coeffs"]).items()}
         elif "terms" in data:
+            amps = {}
             for term in data["terms"]:
-                key = mode(int(term["m"]), str(term.get("pol", "H")),
+                key = mode(oam_index(term["m"]), str(term.get("pol", "H")),
                            str(term.get("path", "in")))
                 amps[key] = amps.get(key, 0j) + complex(
                     float(term.get("re", 0.0)), float(term.get("im", 0.0)))
@@ -232,10 +228,8 @@ def _cmd_sorter(args) -> dict:
     cfg["m"] = args.m
     report = {"command": "sorter", "config": cfg, "probabilities": probs}
     if args.shots > 0:
-        p = np.array([probs["even_port"], probs["odd_port"]])
-        p = np.clip(p, 0.0, None)
-        p[p < 1e-15] = 0.0
-        counts = bell.task_rng(args.seed, 10).multinomial(args.shots, p / p.sum())
+        counts = bell.sample_counts([probs["even_port"], probs["odd_port"]],
+                                    args.shots, args.seed, 10)
         report["counts"] = {"even_port": int(counts[0]), "odd_port": int(counts[1])}
     return report
 
@@ -359,9 +353,7 @@ def _cmd_soba(args) -> dict:
     report = {"command": "soba", "config": cfg, "distribution": dist}
     if args.shots > 0:
         dets = ("D1", "D2", "D3", "D4")
-        p = np.clip(np.array([dist[d] for d in dets]), 0.0, None)
-        p[p < 1e-15] = 0.0
-        counts = bell.task_rng(args.seed, 11).multinomial(args.shots, p / p.sum())
+        counts = bell.sample_counts([dist[d] for d in dets], args.shots, args.seed, 11)
         report["counts"] = {d: int(n) for d, n in zip(dets, counts)}
     return report
 
@@ -472,9 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _env_int(env: dict, name: str, default):
     """Integer config value; fractions, bools and non-numbers are rejected."""
     value = env.get(name, default)
-    integral = ((isinstance(value, (int, str)) and not isinstance(value, bool))
-                or (isinstance(value, float) and value.is_integer()))
-    if value is not None and not integral:
+    if value is not None and not is_integral(value):
         raise ValidationError(f"config value {name!r} must be an integer, got {value!r}")
     return value if value is None else int(value)
 

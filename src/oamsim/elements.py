@@ -10,7 +10,10 @@ Conventions (fixed package-wide):
     at the truncation band edge (a guard raises if the wrapped weight is
     not negligible);
   * mirrors relabel a path and are otherwise the identity (common
-    reflection phases are dropped globally).
+    reflection phases are dropped globally);
+  * the spin-orbit gates "oc_p" (OAM-parity controlled polarization NOT)
+    and "pc_o" (polarization controlled parity NOT) permute the modes on
+    each of their paths, with the same cyclic m shift and guard.
 
 Elements and circuits are immutable; application is a pure function.
 """
@@ -207,57 +210,62 @@ def _key_action(elem: Element, key: ModeKey, truncation: int):
             return [(ModeKey(elem.out_paths[0], key.pol, key.m), 1.0, False)]
         if key.path == elem.out_paths[0]:
             return [(ModeKey(elem.in_paths[0], key.pol, key.m), 1.0, False)]
+    elif kind == "oc_p":
+        # Parity-controlled joint NOT, completed to a permutation at the OAM
+        # level: even/H fixed; odd/H -> even/V; even/V -> odd/V; odd/V -> odd/H.
+        if key.path in elem.in_paths:
+            even = key.m % 2 == 0
+            if key.pol == H and even:
+                return [(key, 1.0, False)]
+            if key.pol == V and not even:
+                return [(ModeKey(key.path, H, key.m), 1.0, False)]
+            m2, wrapped = _wrap_m(key.m + 1, truncation)
+            return [(ModeKey(key.path, V, m2), 1.0, wrapped)]
+    elif kind == "pc_o":
+        # Polarization-controlled parity NOT: V polarization shifts m by +1.
+        if key.path in elem.in_paths and key.pol == V:
+            m2, wrapped = _wrap_m(key.m + 1, truncation)
+            return [(ModeKey(key.path, V, m2), 1.0, wrapped)]
     else:
         raise ValueError(f"unknown element kind {kind!r}")
     return [(key, 1.0, False)]  # modes on unrelated paths pass through
 
 
-def _apply_single(elem: Element, state: PhotonState, wrap_guard, prune):
-    out: dict[ModeKey, complex] = {}
+def _apply_pass(elem: Element, amps: dict, truncation: int, idx, wrap_guard) -> dict:
+    """One pass of `elem` over amplitudes; `idx` is the photon of a joint key
+    (0 or 1), or None for single-photon keys."""
+    out: dict = {}
     wrapped_weight = 0.0
-    for key, amp in state.amplitudes.items():
-        for new_key, factor, wrapped in _key_action(elem, key, state.truncation):
+    for key, amp in amps.items():
+        for new_key, factor, wrapped in _key_action(
+                elem, key if idx is None else key[idx], truncation):
             contrib = amp * factor
             if wrapped:
                 wrapped_weight += abs(contrib) ** 2
+            if idx is not None:
+                new_key = (new_key, key[1]) if idx == 0 else (key[0], new_key)
             out[new_key] = out.get(new_key, 0.0 + 0.0j) + contrib
     if wrap_guard is not None and wrapped_weight > wrap_guard:
         raise WrapGuardError(
             f"{elem.kind} moved weight {wrapped_weight:.3e} across the band edge")
-    return PhotonState(out, state.truncation, prune=prune)
-
-
-def _apply_joint(elem: Element, state: TwoPhotonState, slot, wrap_guard, prune):
-    slots = (1, 2) if slot == "both" else (slot,)
-    amps = dict(state.amplitudes)
-    for s in slots:
-        idx = 0 if s == 1 else 1
-        out: dict[tuple[ModeKey, ModeKey], complex] = {}
-        wrapped_weight = 0.0
-        for key, amp in amps.items():
-            for new_key, factor, wrapped in _key_action(elem, key[idx], state.truncation):
-                contrib = amp * factor
-                if wrapped:
-                    wrapped_weight += abs(contrib) ** 2
-                joint = (new_key, key[1]) if idx == 0 else (key[0], new_key)
-                out[joint] = out.get(joint, 0.0 + 0.0j) + contrib
-        if wrap_guard is not None and wrapped_weight > wrap_guard:
-            raise WrapGuardError(
-                f"{elem.kind} moved weight {wrapped_weight:.3e} across the band edge")
-        amps = out
-    return TwoPhotonState(amps, state.truncation, prune=prune)
+    return out
 
 
 def apply_element(elem: Element, state, slot="both", wrap_guard=WRAP_GUARD,
                   prune: bool = True):
     """Apply one element; only the addressed photon slot is transformed."""
     if isinstance(state, PhotonState):
-        return _apply_single(elem, state, wrap_guard, prune)
-    if isinstance(state, TwoPhotonState):
+        idxs = (None,)
+    elif isinstance(state, TwoPhotonState):
         if slot not in (1, 2, "both"):
             raise ValueError(f"slot must be 1, 2 or 'both', got {slot!r}")
-        return _apply_joint(elem, state, slot, wrap_guard, prune)
-    raise TypeError(f"cannot apply element to {type(state).__name__}")
+        idxs = (0, 1) if slot == "both" else (slot - 1,)
+    else:
+        raise TypeError(f"cannot apply element to {type(state).__name__}")
+    amps = state.amplitudes
+    for idx in idxs:
+        amps = _apply_pass(elem, amps, state.truncation, idx, wrap_guard)
+    return type(state)(amps, state.truncation, prune=prune)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ so instances are safe to share read-only across threads.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -35,6 +36,9 @@ __all__ = [
     "parity",
     "ModeKey",
     "mode",
+    "is_integral",
+    "oam_index",
+    "parse_coeff_rows",
     "PhotonState",
     "TwoPhotonState",
     "inner_product",
@@ -80,6 +84,35 @@ class ModeKey(NamedTuple):
     path: str
     pol: str
     m: int
+
+
+def is_integral(value) -> bool:
+    """An int, an integral float or a string; bools are not integers here."""
+    return ((isinstance(value, (int, str)) and not isinstance(value, bool))
+            or (isinstance(value, float) and value.is_integer()))
+
+
+def oam_index(value) -> int:
+    """OAM index from JSON input; fractions, bools and non-numbers are rejected."""
+    if not is_integral(value):
+        raise ValueError(f"OAM index must be an integer, got {value!r}")
+    return int(value)
+
+
+def parse_coeff_rows(rows) -> dict[int, complex]:
+    """[m, re] or [m, re, im] rows -> {m: amplitude}, summing repeated m."""
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"coefficient rows must be a list, got {rows!r}")
+    coeffs: dict[int, complex] = {}
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) not in (2, 3):
+            raise ValueError(f"coefficient row must be [m, re] or [m, re, im], got {row!r}")
+        m = oam_index(row[0])
+        c = complex(float(row[1]), float(row[2]) if len(row) == 3 else 0.0)
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient at m={m} must be finite, got {c!r}")
+        coeffs[m] = coeffs.get(m, 0j) + c
+    return coeffs
 
 
 def mode(m: int, pol: str = H, path: str = "in") -> ModeKey:
@@ -278,8 +311,8 @@ class SpectrumModel:
         if self.kind not in ("uniform", "gaussian", "explicit"):
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("gaussian spectrum requires sigma > 0")
+            if self.sigma is None or not 0 < self.sigma < math.inf:
+                raise ValueError("gaussian spectrum requires finite sigma > 0")
         if self.kind == "explicit":
             if not self.coeffs:
                 raise ValueError("explicit spectrum requires coefficients")
@@ -352,19 +385,15 @@ class SpectrumModel:
 
     @staticmethod
     def from_dict(d: Mapping) -> "SpectrumModel":
+        if not isinstance(d, Mapping):
+            raise ValueError(f"spectrum must be a JSON object, got {d!r}")
         kind = d.get("kind")
         if kind == "uniform":
             return SpectrumModel.uniform()
         if kind == "gaussian":
             return SpectrumModel.gaussian(float(d["sigma"]))
         if kind == "explicit":
-            coeffs = {}
-            for row in d["coeffs"]:
-                m = int(row[0])
-                re = float(row[1])
-                im = float(row[2]) if len(row) > 2 else 0.0
-                coeffs[m] = coeffs.get(m, 0.0) + complex(re, im)
-            return SpectrumModel.explicit(coeffs)
+            return SpectrumModel.explicit(parse_coeff_rows(d["coeffs"]))
         raise ValueError(f"unknown spectrum kind {kind!r}")
 
 

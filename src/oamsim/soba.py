@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .bell import task_rng
+from .bell import sample_counts
 from .elements import (
     Circuit,
+    Element,
     WRAP_GUARD,
-    WrapGuardError,
     apply_circuit,
+    apply_element,
     beam_splitter,
     coincidence_detect,
     half_wave_plate,
@@ -70,71 +69,28 @@ def normalize_polarization_label(label: str) -> str:
     return label
 
 
-def _wrap_m(m: int, truncation: int) -> tuple[int, bool]:
-    span = 2 * truncation + 1
-    wrapped = ((m + truncation) % span) - truncation
-    return wrapped, wrapped != m
-
-
-def _apply_keymap(state, slot, action, wrap_guard):
-    """Apply a single-photon key permutation to a state slot."""
-    if isinstance(state, PhotonState):
-        items = ((key, amp, None) for key, amp in state.amplitudes.items())
-        make = lambda new_key, old: new_key
-    elif isinstance(state, TwoPhotonState):
+def _gate(kind: str, state, slot: int, wrap_guard):
+    """Gate element on every path the addressed photon occupies."""
+    if isinstance(state, TwoPhotonState):
         if slot not in (1, 2):
             raise ValueError("slot must be 1 or 2 for a two-photon state")
-        idx = 0 if slot == 1 else 1
-        items = ((key[idx], amp, key) for key, amp in state.amplitudes.items())
-        make = (lambda new_key, old: (new_key, old[1])) if idx == 0 else \
-               (lambda new_key, old: (old[0], new_key))
+        paths = state.slot_paths(slot)
+    elif isinstance(state, PhotonState):
+        paths = state.paths()
     else:
         raise TypeError(f"cannot apply gate to {type(state).__name__}")
-    out: dict = {}
-    wrapped_weight = 0.0
-    for key, amp, old in items:
-        new_key, factor, wrapped = action(key, state.truncation)
-        if wrapped:
-            wrapped_weight += abs(amp * factor) ** 2
-        joint = make(new_key, old)
-        out[joint] = out.get(joint, 0.0 + 0.0j) + amp * factor
-    if wrap_guard is not None and wrapped_weight > wrap_guard:
-        raise WrapGuardError(
-            f"gate moved weight {wrapped_weight:.3e} across the band edge")
-    return type(state)(out, state.truncation)
-
-
-def _oc_p_action(key: ModeKey, truncation: int):
-    # Parity-controlled joint NOT, completed to a permutation at the OAM
-    # level: even/H fixed; odd/H -> even/V; even/V -> odd/V; odd/V -> odd/H.
-    even = key.m % 2 == 0
-    if key.pol == H:
-        if even:
-            return key, 1.0, False
-        m2, wrapped = _wrap_m(key.m + 1, truncation)
-        return ModeKey(key.path, V, m2), 1.0, wrapped
-    if even:
-        m2, wrapped = _wrap_m(key.m + 1, truncation)
-        return ModeKey(key.path, V, m2), 1.0, wrapped
-    return ModeKey(key.path, H, key.m), 1.0, False
-
-
-def _pc_o_action(key: ModeKey, truncation: int):
-    # Polarization-controlled parity NOT: V polarization shifts m by +1.
-    if key.pol == V:
-        m2, wrapped = _wrap_m(key.m + 1, truncation)
-        return ModeKey(key.path, V, m2), 1.0, wrapped
-    return key, 1.0, False
+    return apply_element(Element(kind, paths, paths), state, slot=slot,
+                         wrap_guard=wrap_guard)
 
 
 def oc_p_gate(state, slot: int = 1, wrap_guard=WRAP_GUARD):
     """OAM-parity controlled polarization NOT (flips parity alongside)."""
-    return _apply_keymap(state, slot, _oc_p_action, wrap_guard)
+    return _gate("oc_p", state, slot, wrap_guard)
 
 
 def pc_o_gate(state, slot: int = 1, wrap_guard=WRAP_GUARD):
     """Polarization-controlled parity NOT: V triggers an order +1 spiral shift."""
-    return _apply_keymap(state, slot, _pc_o_action, wrap_guard)
+    return _gate("pc_o", state, slot, wrap_guard)
 
 
 def build_soba() -> Circuit:
@@ -249,13 +205,8 @@ def dense_coding_roundtrip(message: str, shots: int = 0, seed: int | None = None
     if shots <= 0:
         return DenseCodingResult(message, label, message_probs, pair_probs,
                                  accuracy=message_probs[message])
-    if seed is None:
-        raise ValueError("sampled mode requires a seed")
     keys = sorted(pair_probs)
-    probs = np.clip(np.array([pair_probs[k] for k in keys]), 0.0, None)
-    probs[probs < 1e-15] = 0.0
-    probs = probs / probs.sum()
-    draws = task_rng(seed, 3).multinomial(int(shots), probs)
+    draws = sample_counts([pair_probs[k] for k in keys], shots, seed, 3)
     counts = {k: int(n) for k, n in zip(keys, draws) if n}
     correct = 0
     sampled_probs = {bits: 0.0 for bits in BITS_MESSAGE}

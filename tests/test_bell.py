@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oamsim.bell import (
+    EKERT_BYTES_PER_ROUND,
+    EKERT_ROUNDS_LIMIT,
     CoincidenceTable,
     ProjectionSetting,
     TSIRELSON,
@@ -12,10 +15,11 @@ from oamsim.bell import (
     ekert_run,
     project_single,
     projector_coincidence,
+    sample_counts,
     task_rng,
     _joint_probs,
 )
-from oamsim.hilbert import PhotonState, SpectrumModel, mode
+from oamsim.hilbert import DENSE_BYTES_LIMIT, PhotonState, SpectrumModel, mode
 from oamsim.sources import PRODUCT_HH, SourceSpec, spdc
 from helpers import random_oam_state, random_two_photon
 
@@ -211,6 +215,35 @@ class TestEkert:
         with pytest.raises(ValueError):
             ekert_run(vortex_state(), rounds=0, seed=1)
 
+    def test_rounds_limit_fits_the_byte_budget(self):
+        assert EKERT_ROUNDS_LIMIT * EKERT_BYTES_PER_ROUND <= DENSE_BYTES_LIMIT
+        assert EKERT_ROUNDS_LIMIT >= 10 ** 6
+
+    def test_bytes_per_round_cover_the_measured_peak(self):
+        state = vortex_state()
+        ekert_run(state, rounds=100, seed=1)  # builds every analyzer once
+        rounds = 10 ** 5
+        tracemalloc.start()
+        try:
+            ekert_run(state, rounds=rounds, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= EKERT_BYTES_PER_ROUND * rounds
+
+    def test_too_many_rounds_rejected_before_allocation(self):
+        state = vortex_state()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds limit"):
+                ekert_run(state, rounds=10 ** 12, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        with pytest.raises(ValueError, match="exceeds limit"):
+            ekert_run(state, rounds=EKERT_ROUNDS_LIMIT + 1, seed=1)
+
     def test_gaussian_spectrum_also_ideal(self):
         state = vortex_state(spectrum=SpectrumModel.gaussian(2.0))
         result = ekert_run(state, rounds=1500, seed=5)
@@ -224,3 +257,12 @@ def test_task_rng_streams_are_independent_of_order():
     a2 = task_rng(5, 1, 2).random(4)
     assert np.array_equal(a, a2)
     assert not np.array_equal(a, b)
+
+
+def test_sample_counts_is_one_seeded_multinomial_over_cleaned_probs():
+    probs = [0.5, -1e-17, 3e-16, 0.25]
+    counts = sample_counts(probs, 1000, 7, 2, 1)
+    expected = task_rng(7, 2, 1).multinomial(1000, [2 / 3, 0.0, 0.0, 1 / 3])
+    assert np.array_equal(counts, expected)
+    with pytest.raises(ValueError, match="requires a seed"):
+        sample_counts(probs, 10, None, 2)

@@ -279,3 +279,61 @@ class TestCliContract:
                                 "--shots", "100", "--seed", "31")
         assert report["config"]["seed"] == 31
         assert report["config"]["rng"] == "numpy-pcg64"
+
+
+BELL_ARGS = ("bell", "--theta", "0", "--theta2", "45", "--chi", "22.5", "--chi2", "67.5")
+
+
+def assert_one_json_error(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error"}
+    assert captured.err == ""
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("spectrum", [
+        '{"kind":"explicit","coeffs":[[]]}',
+        '{"kind":"explicit","coeffs":[[0]]}',
+        '{"kind":"explicit","coeffs":{"0": 1}}',
+        '{"kind":"explicit","coeffs":[[0.5,1.0]]}',
+        '{"kind":"explicit","coeffs":[[0,1.0,0.0,1.0]]}',
+        '{"kind":"explicit","coeffs":[[0,NaN]]}',
+        '{"kind":"gaussian","sigma":Infinity}',
+        'gaussian:nan',
+        '[1]',
+        '5',
+    ])
+    def test_bad_spectrum_argv(self, capsys, spectrum):
+        assert_one_json_error(capsys, (*BELL_ARGS, "--spectrum", spectrum))
+
+    @pytest.mark.parametrize("spectrum", [
+        5, [1], {"kind": "explicit", "coeffs": [[]]},
+        {"kind": "explicit", "coeffs": [[True, 1.0]]},
+    ])
+    def test_bad_spectrum_in_config(self, capsys, tmp_path, monkeypatch, spectrum):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"spectrum": spectrum}))
+        monkeypatch.setenv("OAMSIM_CONFIG", str(cfg))
+        assert_one_json_error(capsys, BELL_ARGS)
+
+    @pytest.mark.parametrize("state", [
+        '{"coeffs":[[1.5,1]]}',
+        '{"coeffs":[[true,1]]}',
+        '{"coeffs":[[0,1,0,1]]}',
+        '{"coeffs":[[0]]}',
+        '{"coeffs":[[0,1.0,Infinity]]}',
+        '{"terms":[{"m":1.5,"re":1.0}]}',
+    ])
+    def test_bad_state_rows(self, capsys, state):
+        assert_one_json_error(capsys, ("sorter", "--state", state))
+
+    def test_integral_float_m_is_accepted(self, capsys):
+        code, report = run_json(capsys, "sorter", "--state", '{"coeffs":[[3.0,1]]}')
+        assert code == 0
+        assert report["probabilities"]["odd_port"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_too_many_ekert_rounds(self, capsys):
+        assert_one_json_error(capsys, ("ekert", "--rounds", str(10 ** 12), "--seed", "1"))

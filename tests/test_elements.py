@@ -267,6 +267,8 @@ ONE_OF_EACH_KIND = (
     half_wave_plate("p0", 0.4),
     phase_delay("p1", 2.2),
     mirror("p3", "p5"),
+    Element("oc_p", ("p1", "p4"), ("p1", "p4")),
+    Element("pc_o", ("p2",), ("p2",)),
 )
 
 

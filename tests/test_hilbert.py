@@ -23,6 +23,7 @@ from oamsim.hilbert import (
     mode,
     parity,
     parity_marginals,
+    parse_coeff_rows,
     state_from_json,
     state_to_json,
     state_to_records,
@@ -163,11 +164,22 @@ class TestSpectrumModel:
                       SpectrumModel.explicit({-2: 0.5, 1: 0.5j})):
             assert SpectrumModel.from_dict(model.to_dict()) == model
 
+    def test_from_dict_rejects_a_non_object(self):
+        for value in ([1], 5, "uniform", None):
+            with pytest.raises(ValueError, match="JSON object"):
+                SpectrumModel.from_dict(value)
+
+    def test_explicit_rows_are_parsed_by_the_shared_parser(self):
+        rows = [["0", 0.5], [1.0, 0.25, -0.5], [0, 0.5]]
+        model = SpectrumModel.from_dict({"kind": "explicit", "coeffs": rows})
+        assert dict(model.coeffs) == parse_coeff_rows(rows)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             SpectrumModel("triangular")
-        with pytest.raises(ValueError):
-            SpectrumModel.gaussian(-1.0)
+        for sigma in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SpectrumModel.gaussian(sigma)
 
 
 class TestSerialization:
@@ -223,3 +235,22 @@ class TestModeBasis:
         monkeypatch.setattr(hilbert, "ModeKey", no_keys)
         with pytest.raises(ValueError, match="exceeds limit"):
             ModeBasis(("in",), 10 ** 6)
+
+
+class TestCoeffRows:
+    def test_two_and_three_column_rows_sum_repeated_m(self):
+        coeffs = parse_coeff_rows([[0, 1.0], [1, 0.5, -0.25], [0, 0.5, 1.0]])
+        assert coeffs == {0: complex(1.5, 1.0), 1: complex(0.5, -0.25)}
+
+    def test_decimal_strings_and_integral_floats_are_integers(self):
+        assert parse_coeff_rows([["0", "0.7071"], [-3.0, 0.5]]) == {
+            0: complex(0.7071, 0.0), -3: complex(0.5, 0.0)}
+
+    @pytest.mark.parametrize("rows", [
+        [[]], [[0]], [[0, 1.0, 0.0, 2.0]], [[1.5, 1.0]], [[True, 1.0]],
+        [[None, 1.0]], [["1.5", 1.0]], [[float("inf"), 1.0]], {"0": 1}, [0, 1], 5,
+        [[0, float("nan")]], [[0, 1.0, float("inf")]],
+    ])
+    def test_malformed_rows_rejected(self, rows):
+        with pytest.raises(ValueError):
+            parse_coeff_rows(rows)

@@ -4,12 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from oamsim.elements import WrapGuardError, dense_apply
+from oamsim.elements import (
+    WRAP_GUARD,
+    Circuit,
+    Element,
+    WrapGuardError,
+    apply_circuit,
+    beam_splitter,
+    circuit_unitary,
+    dense_apply,
+    half_wave_plate,
+    spiral_phase_plate,
+)
 from oamsim.hilbert import (
     H,
     V,
     PhotonState,
     SpectrumModel,
+    TwoPhotonState,
     inner_product,
     mode,
 )
@@ -31,6 +43,7 @@ from oamsim.sources import (
     hyper_source,
     prepare_single_photon_bell,
 )
+from helpers import random_full_state, random_two_photon
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SPIN_LABELS = ("psi+", "psi-", "phi+", "phi-")
@@ -84,6 +97,70 @@ class TestGates:
             pc_o_gate(PhotonState({mode(4, V): 1.0}, 4))
         with pytest.raises(WrapGuardError):
             oc_p_gate(PhotonState({mode(1, H): 1.0}, 1))
+
+
+def gate_circuit() -> Circuit:
+    """Two paths, both gates, and ordinary elements around them."""
+    return Circuit("gates", (
+        beam_splitter("in", "vac", "a", "b", t=0.6),
+        Element("oc_p", ("a", "b"), ("a", "b")),
+        spiral_phase_plate("a", -1),
+        half_wave_plate("b", 0.3),
+        Element("pc_o", ("a",), ("a",)),
+        Element("oc_p", ("b",), ("b",)),
+        beam_splitter("a", "b", "c", "d"),
+    ), "in", ())
+
+
+class TestGatesUnderTheDenseOracle:
+    @pytest.mark.parametrize("truncation", [1, 2, 3])
+    def test_gate_circuit_is_unitary(self, truncation):
+        u, _ = circuit_unitary(gate_circuit(), truncation)
+        assert np.abs(u.conj().T @ u - np.eye(len(u))).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_equals_dense_single_photon(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        s = random_full_state(rng, 3, paths=("in", "vac"))
+        sparse = apply_circuit(gate_circuit(), s, wrap_guard=None)
+        dense = dense_apply(gate_circuit(), s)
+        for key in set(sparse.amplitudes) | set(dense.amplitudes):
+            assert abs(sparse.get(key) - dense.get(key)) < 1e-10
+
+    @pytest.mark.parametrize("slot", [1, 2, "both"])
+    def test_sparse_equals_dense_pair(self, slot):
+        s = random_two_photon(np.random.default_rng(950), 3, n_terms=12)
+        sparse = apply_circuit(gate_circuit(), s, slot=slot, wrap_guard=None)
+        dense = dense_apply(gate_circuit(), s, slot=slot)
+        for key in set(sparse.amplitudes) | set(dense.amplitudes):
+            assert abs(sparse.get(key) - dense.get(key)) < 1e-10
+
+    @pytest.mark.parametrize("gate,edge", [(pc_o_gate, mode(4, V)),
+                                           (oc_p_gate, mode(4, V))])
+    def test_one_guard_sum_over_every_path(self, gate, edge):
+        # 0.6 * WRAP_GUARD wraps on each of two paths: neither share alone
+        # trips the guard, their sum does.
+        share = math.sqrt(0.6 * WRAP_GUARD)
+        rest = math.sqrt(1.0 - 2.0 * share ** 2)
+        one = PhotonState({edge: share, mode(0, H): rest}, 4)
+        gate(one)
+        two = PhotonState({edge: share, edge._replace(path="aux"): share,
+                           mode(0, H): rest}, 4)
+        with pytest.raises(WrapGuardError):
+            gate(two)
+        pair = TwoPhotonState({(edge, mode(0)): share,
+                               (edge._replace(path="aux"), mode(0)): share,
+                               (mode(0), mode(0)): rest}, 4)
+        with pytest.raises(WrapGuardError):
+            gate(pair, slot=1)
+        gate(pair, slot=2)
+
+    @pytest.mark.parametrize("gate", [oc_p_gate, pc_o_gate])
+    def test_pair_slot_must_be_one_or_two(self, gate):
+        pair = hyper_source(canonical_pair_spectrum(), 4)
+        for slot in ("both", 0, 3):
+            with pytest.raises(ValueError):
+                gate(pair, slot=slot)
 
 
 class TestRouting:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elements import apply_circuit, build_projection, coincidence_detect, detect
+from .elements import build_projection, joint_readout, readout
 from .hilbert import DENSE_BYTES_LIMIT, V, PhotonState, TwoPhotonState
 
 __all__ = [
@@ -79,13 +79,7 @@ class ProjectionSetting:
 
 
 def _require_h_polarized(state, variant: str) -> None:
-    if variant != "polarization":
-        return
-    if isinstance(state, PhotonState):
-        pols = (key.pol for key in state.amplitudes)
-    else:
-        pols = (k.pol for pair in state.amplitudes for k in pair)
-    if any(pol == V for pol in pols):
+    if variant == "polarization" and any(k.pol == V for k in state.modes()):
         raise ValueError(
             "polarization-assisted projection needs H-polarized input")
 
@@ -93,9 +87,7 @@ def _require_h_polarized(state, variant: str) -> None:
 def project_single(state: PhotonState, setting: ProjectionSetting):
     """Intensities (I1, I2) at the theta and theta-perp ports."""
     _require_h_polarized(state, setting.variant)
-    circuit = build_projection(setting.theta, setting.variant)
-    out = apply_circuit(circuit, state)
-    return detect(out, "p_theta"), detect(out, "p_theta_perp")
+    return tuple(readout(build_projection(setting.theta, setting.variant), state).values())
 
 
 def _bob_angle(chi: float) -> float:
@@ -106,15 +98,8 @@ def _bob_angle(chi: float) -> float:
 def _joint_probs(s: TwoPhotonState, theta: float, chi: float, variant: str):
     """Joint detector probabilities (d13, d14, d23, d24) from the circuits."""
     _require_h_polarized(s, variant)
-    alice = build_projection(theta, variant)
-    bob = build_projection(_bob_angle(chi), variant)
-    out = apply_circuit(alice, s, slot=1)
-    out = apply_circuit(bob, out, slot=2)
-    d13 = coincidence_detect(out, "p_theta", "p_theta")
-    d14 = coincidence_detect(out, "p_theta", "p_theta_perp")
-    d23 = coincidence_detect(out, "p_theta_perp", "p_theta")
-    d24 = coincidence_detect(out, "p_theta_perp", "p_theta_perp")
-    return d13, d14, d23, d24
+    return tuple(joint_readout(build_projection(theta, variant),
+                               build_projection(_bob_angle(chi), variant), s).values())
 
 
 def projector_coincidence(s: TwoPhotonState, theta: float, chi: float):
@@ -210,17 +195,22 @@ class CoincidenceTable:
         return (self.d13 + self.d24 - self.d14 - self.d23) / total
 
 
+def _table(s: TwoPhotonState, theta: float, chi: float, variant: str,
+           shots: int, seed: int | None, *key: int) -> CoincidenceTable:
+    """Exact table at one setting pair; shots > 0 adds one draw on rng `key`."""
+    d = _joint_probs(s, theta, chi, variant)
+    if shots <= 0:
+        return CoincidenceTable(theta, chi, *d)
+    counts = sample_counts(d, shots, seed, *key)
+    return CoincidenceTable(theta, chi, *d, mode="sampled", shots=int(shots),
+                            seed=int(seed), counts=tuple(int(c) for c in counts))
+
+
 def coincidence(s: TwoPhotonState, theta: float, chi: float,
                 variant: str = "tunable_bs", shots: int = 0,
                 seed: int | None = None) -> CoincidenceTable:
     """Coincidence table at one setting pair; shots > 0 samples a multinomial."""
-    d13, d14, d23, d24 = _joint_probs(s, theta, chi, variant)
-    if shots <= 0:
-        return CoincidenceTable(theta, chi, d13, d14, d23, d24)
-    counts = sample_counts([d13, d14, d23, d24], shots, seed, 2)
-    return CoincidenceTable(theta, chi, d13, d14, d23, d24, mode="sampled",
-                            shots=int(shots), seed=int(seed),
-                            counts=tuple(int(c) for c in counts))
+    return _table(s, theta, chi, variant, shots, seed, 2)
 
 
 @dataclass(frozen=True)
@@ -237,16 +227,8 @@ def chsh(s: TwoPhotonState, theta: float, theta2: float, chi: float, chi2: float
          seed: int | None = None) -> CHSHResult:
     """CHSH combination B = |E(t,c) - E(t,c') + E(t',c) + E(t',c')|."""
     pairs = ((theta, chi), (theta, chi2), (theta2, chi), (theta2, chi2))
-    tables = []
-    for i, (t, c) in enumerate(pairs):
-        d = _joint_probs(s, t, c, variant)
-        if shots > 0:
-            counts = sample_counts(d, shots, seed, 2, i)
-            tables.append(CoincidenceTable(t, c, *d, mode="sampled",
-                                           shots=int(shots), seed=int(seed),
-                                           counts=tuple(int(x) for x in counts)))
-        else:
-            tables.append(CoincidenceTable(t, c, *d))
+    tables = [_table(s, t, c, variant, shots, seed, 2, i)
+              for i, (t, c) in enumerate(pairs)]
     e = [tab.e_value() for tab in tables]
     b = abs(e[0] - e[1] + e[2] + e[3])
     sigma = None

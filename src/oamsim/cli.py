@@ -21,17 +21,17 @@ import sys
 from . import bell, soba, tomography
 from .elements import (
     WrapGuardError,
-    apply_circuit,
     build_s2_setup,
     build_s3_setup,
     build_sorter,
     circuit_to_dict,
-    detect,
+    readout,
 )
 from .hilbert import (
     PhotonState,
     SpectrumModel,
     TruncationError,
+    add_amplitude,
     is_integral,
     mode,
     oam_index,
@@ -43,6 +43,7 @@ from .sources import (
     BELL_PHI_PLUS,
     PRODUCT_HH,
     SourceSpec,
+    canonical_pair_spectrum,
     normalize_spin_orbit_label,
     prepare_single_photon_bell,
     source_band,
@@ -125,8 +126,6 @@ def _parse_spectrum(text: str | None) -> SpectrumModel:
         except ValueError as exc:
             raise ValidationError(f"bad gaussian spectrum {text!r}") from exc
     if text == "canonical":
-        from .sources import canonical_pair_spectrum
-
         return canonical_pair_spectrum()
     try:
         return SpectrumModel.from_dict(json.loads(text))
@@ -152,8 +151,7 @@ def _parse_state(text: str, truncation: int) -> PhotonState:
             for term in data["terms"]:
                 key = mode(oam_index(term["m"]), str(term.get("pol", "H")),
                            str(term.get("path", "in")))
-                amps[key] = amps.get(key, 0j) + complex(
-                    float(term.get("re", 0.0)), float(term.get("im", 0.0)))
+                add_amplitude(amps, key, term.get("re", 0.0), term.get("im", 0.0))
         else:
             raise KeyError("state JSON needs 'coeffs' or 'terms'")
         return PhotonState(amps, truncation).normalized()
@@ -221,16 +219,13 @@ def _cmd_sorter(args) -> dict:
     else:
         state = _parse_state(args.state, args.truncation)
     _require_seed(args)
-    out = apply_circuit(build_sorter(), state)
-    probs = {"even_port": detect(out, "even_port"),
-             "odd_port": detect(out, "odd_port")}
+    probs = readout(build_sorter(), state)
     cfg = _base_config(args)
     cfg["m"] = args.m
     report = {"command": "sorter", "config": cfg, "probabilities": probs}
     if args.shots > 0:
-        counts = bell.sample_counts([probs["even_port"], probs["odd_port"]],
-                                    args.shots, args.seed, 10)
-        report["counts"] = {"even_port": int(counts[0]), "odd_port": int(counts[1])}
+        counts = bell.sample_counts(list(probs.values()), args.shots, args.seed, 10)
+        report["counts"] = {d: int(n) for d, n in zip(probs, counts)}
     return report
 
 
@@ -264,14 +259,12 @@ def _cmd_tomography(args) -> dict:
     i1c, i2c, s3 = tomography.measure_s3(state)
     sv = tomography.StokesVector(s0, s1, s2, s3)
     density = tomography.reconstruct(sv)
+    intensities = {"sorter": (i1a, i2a), "s2_setup": (i1b, i2b), "s3_setup": (i1c, i2c)}
     report = {
         "command": "tomography",
         "config": _base_config(args),
-        "intensities": {
-            "sorter": {"I1": i1a, "I2": i2a},
-            "s2_setup": {"I1": i1b, "I2": i2b},
-            "s3_setup": {"I1": i1c, "I2": i2c},
-        },
+        "intensities": {setup: {"I1": i1, "I2": i2}
+                        for setup, (i1, i2) in intensities.items()},
         "s0": s0, "s1": s1, "s2": s2, "s3": s3,
         "rho": _rho_records(density.matrix),
         "clipped": density.clipped,
@@ -280,14 +273,13 @@ def _cmd_tomography(args) -> dict:
     if qubit is not None:
         report["fidelity"] = tomography.fidelity(density, qubit)
     if args.csv:
-        rows = [("sorter", "even_port", i1a), ("sorter", "odd_port", i2a),
-                ("s2_setup", "d1", i1b), ("s2_setup", "d2", i2b),
-                ("s3_setup", "d1", i1c), ("s3_setup", "d2", i2c)]
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(("setup", "port", "intensity"))
-            for setup, port, intensity in rows:
-                writer.writerow((setup, port, format_float(float(intensity))))
+            for setup, values in intensities.items():
+                ports = BUILTIN_CIRCUITS[setup]().detector_paths
+                for port, intensity in zip(ports, values):
+                    writer.writerow((setup, port, format_float(float(intensity))))
         report["csv"] = args.csv
     return report
 
@@ -352,20 +344,14 @@ def _cmd_soba(args) -> dict:
     cfg["state"] = args.state
     report = {"command": "soba", "config": cfg, "distribution": dist}
     if args.shots > 0:
-        dets = ("D1", "D2", "D3", "D4")
-        counts = bell.sample_counts([dist[d] for d in dets], args.shots, args.seed, 11)
-        report["counts"] = {d: int(n) for d, n in zip(dets, counts)}
+        counts = bell.sample_counts(list(dist.values()), args.shots, args.seed, 11)
+        report["counts"] = {d: int(n) for d, n in zip(dist, counts)}
     return report
 
 
 def _cmd_densecode(args) -> dict:
     _require_seed(args)
-    if args.spectrum:
-        spectrum = _parse_spectrum(args.spectrum)
-    else:
-        from .sources import canonical_pair_spectrum
-
-        spectrum = canonical_pair_spectrum()
+    spectrum = _parse_spectrum(args.spectrum or "canonical")
     result = soba.dense_coding_roundtrip(args.message, shots=args.shots,
                                          seed=args.seed,
                                          truncation=args.truncation,
@@ -509,15 +495,12 @@ def main(argv=None) -> int:
     try:
         _fill_defaults(args)
         report = _HANDLERS[args.command](args)
-    except (ValidationError, ValueError) as exc:
-        if isinstance(exc, (WrapGuardError, TruncationError)):
-            _emit({"error": {"code": "guard", "message": str(exc)}})
-            return EXIT_GUARD
-        _emit({"error": {"code": "validation", "message": str(exc)}})
-        return EXIT_VALIDATION
-    except WrapGuardError as exc:
+    except (WrapGuardError, TruncationError) as exc:
         _emit({"error": {"code": "guard", "message": str(exc)}})
         return EXIT_GUARD
+    except ValueError as exc:
+        _emit({"error": {"code": "validation", "message": str(exc)}})
+        return EXIT_VALIDATION
     _emit(report)
     return EXIT_OK
 

@@ -52,6 +52,8 @@ __all__ = [
     "apply_circuit",
     "detect",
     "coincidence_detect",
+    "readout",
+    "joint_readout",
     "build_sorter",
     "build_s2_setup",
     "build_s3_setup",
@@ -326,6 +328,31 @@ def coincidence_detect(state: TwoPhotonState, path1: str, path2: str,
         return prob, None
     post = TwoPhotonState(kept, state.truncation).normalized()
     return prob, post
+
+
+def readout(circuit: Circuit, state: PhotonState,
+            wrap_guard=WRAP_GUARD) -> dict[str, float]:
+    """Send one photon through `circuit`; click probability per detector path."""
+    out = apply_circuit(circuit, state, wrap_guard=wrap_guard)
+    return {path: detect(out, path) for path in circuit.detector_paths}
+
+
+def joint_readout(circuit1: Circuit, circuit2: Circuit, pair: TwoPhotonState,
+                  wrap_guard=WRAP_GUARD) -> dict[tuple[str, str], float]:
+    """Photon 1 through `circuit1`, photon 2 through `circuit2`; coincidence
+    probability per pair of detector paths.
+
+    One pass over the output sums each entry in the order coincidence_detect
+    would, so every value equals coincidence_detect(out, path1, path2).
+    """
+    out = apply_circuit(circuit1, pair, slot=1, wrap_guard=wrap_guard)
+    out = apply_circuit(circuit2, out, slot=2, wrap_guard=wrap_guard)
+    probs = {(a, b): 0.0 for a in circuit1.detector_paths for b in circuit2.detector_paths}
+    for (k1, k2), amp in out.amplitudes.items():
+        key = (k1.path, k2.path)
+        if key in probs:
+            probs[key] += abs(amp) ** 2
+    return probs
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ so instances are safe to share read-only across threads.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -38,11 +37,14 @@ __all__ = [
     "mode",
     "is_integral",
     "oam_index",
+    "AMPLITUDE_LIMIT",
+    "add_amplitude",
     "parse_coeff_rows",
     "PhotonState",
     "TwoPhotonState",
     "inner_product",
     "parity_marginals",
+    "GAUSSIAN_SIGMA_LIMIT",
     "SpectrumModel",
     "ModeBasis",
     "state_to_records",
@@ -63,6 +65,12 @@ NORM_CHECK_TOL = 1e-9   # how well-normalized an input must be for measurements
 PRUNE_EPS = 1e-15       # amplitudes below this magnitude may be dropped
 DENSE_BYTES_LIMIT = 256 * 2 ** 20  # one n x n complex128 matrix of the oracle
 DENSE_DIM_LIMIT = math.isqrt(DENSE_BYTES_LIMIT // np.dtype(complex).itemsize)
+# Largest input amplitude magnitude: squares summed over fewer than 1e8 modes
+# stay finite.
+AMPLITUDE_LIMIT = 1e150
+# out_of_band_weight sums about 12 * sigma tail terms at about 0.3 us each
+# (2-core host, Python 3.11), so the limit costs about 33 ms.
+GAUSSIAN_SIGMA_LIMIT = 1e4
 
 
 class TruncationError(ValueError):
@@ -99,6 +107,19 @@ def oam_index(value) -> int:
     return int(value)
 
 
+def add_amplitude(amps: dict, key, re, im=0.0) -> None:
+    """Add re + i*im from JSON input into amps[key].
+
+    Non-finite values, and a running sum above AMPLITUDE_LIMIT in magnitude,
+    are rejected.
+    """
+    c = amps.get(key, 0j) + complex(float(re), float(im))
+    if not math.hypot(c.real, c.imag) <= AMPLITUDE_LIMIT:
+        raise ValueError(f"amplitude at {key} must be finite with magnitude "
+                         f"<= {AMPLITUDE_LIMIT:g}, got {c!r}")
+    amps[key] = c
+
+
 def parse_coeff_rows(rows) -> dict[int, complex]:
     """[m, re] or [m, re, im] rows -> {m: amplitude}, summing repeated m."""
     if not isinstance(rows, (list, tuple)):
@@ -107,11 +128,7 @@ def parse_coeff_rows(rows) -> dict[int, complex]:
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) not in (2, 3):
             raise ValueError(f"coefficient row must be [m, re] or [m, re, im], got {row!r}")
-        m = oam_index(row[0])
-        c = complex(float(row[1]), float(row[2]) if len(row) == 3 else 0.0)
-        if not cmath.isfinite(c):
-            raise ValueError(f"coefficient at m={m} must be finite, got {c!r}")
-        coeffs[m] = coeffs.get(m, 0j) + c
+        add_amplitude(coeffs, oam_index(row[0]), *row[1:])
     return coeffs
 
 
@@ -144,18 +161,60 @@ def _check_joint(key, truncation: int) -> None:
     _check_single(k2, truncation)
 
 
-class PhotonState:
-    """Sparse single-photon state: ModeKey -> complex amplitude."""
+class _SparseState:
+    """Sparse amplitude map over mode keys, shared by both state kinds.
+
+    Subclasses set `_check`, the band check for one key.
+    """
 
     __slots__ = ("amplitudes", "truncation")
 
-    def __init__(self, amplitudes: Mapping[ModeKey, complex], truncation: int,
-                 prune: bool = True):
+    def __init__(self, amplitudes: Mapping, truncation: int, prune: bool = True):
         k = int(truncation)
         if k < 1:
             raise TruncationError("truncation band must satisfy K >= 1")
-        self.amplitudes = _clean_amplitudes(amplitudes.items(), k, prune, _check_single)
+        self.amplitudes = _clean_amplitudes(amplitudes.items(), k, prune, self._check)
         self.truncation = k
+
+    def items(self) -> Iterator[tuple]:
+        """Amplitudes in canonical key order (deterministic iteration)."""
+        for key in sorted(self.amplitudes):
+            yield key, self.amplitudes[key]
+
+    def get(self, key) -> complex:
+        return self.amplitudes.get(key, 0.0 + 0.0j)
+
+    def norm_sq(self) -> float:
+        return float(sum(abs(a) ** 2 for _, a in self.items()))
+
+    def norm(self) -> float:
+        return math.sqrt(self.norm_sq())
+
+    def normalized(self):
+        n = self.norm()
+        if n < 1e-300:
+            raise NormalizationError("cannot normalize a zero state")
+        return type(self)({k: a / n for k, a in self.amplitudes.items()},
+                          self.truncation)
+
+    def require_normalized(self) -> None:
+        """Measurement precondition: norm**2 within NORM_CHECK_TOL of 1."""
+        dev = abs(self.norm_sq() - 1.0)
+        if dev > NORM_CHECK_TOL:
+            raise NormalizationError(f"state norm**2 deviates from 1 by {dev:.3e}")
+
+    def paths(self) -> tuple[str, ...]:
+        return tuple(sorted({k.path for k in self.modes()}))
+
+    def __len__(self) -> int:
+        return len(self.amplitudes)
+
+
+class PhotonState(_SparseState):
+    """Sparse single-photon state: ModeKey -> complex amplitude."""
+
+    __slots__ = ()
+    _check = staticmethod(_check_single)
 
     @classmethod
     def from_oam(cls, coeffs: Mapping[int, complex], truncation: int,
@@ -163,90 +222,38 @@ class PhotonState:
         """Build a state from OAM coefficients on a single path/polarization."""
         return cls({mode(m, pol, path): c for m, c in coeffs.items()}, truncation)
 
-    def items(self) -> Iterator[tuple[ModeKey, complex]]:
-        """Amplitudes in canonical ModeKey order (deterministic iteration)."""
-        for key in sorted(self.amplitudes):
-            yield key, self.amplitudes[key]
-
-    def get(self, key: ModeKey) -> complex:
-        return self.amplitudes.get(key, 0.0 + 0.0j)
-
-    def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for _, a in self.items()))
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def normalized(self) -> "PhotonState":
-        n = self.norm()
-        if n < 1e-300:
-            raise NormalizationError("cannot normalize a zero state")
-        return PhotonState({k: a / n for k, a in self.amplitudes.items()},
-                           self.truncation)
-
     def scaled(self, factor: complex) -> "PhotonState":
         return PhotonState({k: a * factor for k, a in self.amplitudes.items()},
                            self.truncation, prune=False)
-
-    def paths(self) -> tuple[str, ...]:
-        return tuple(sorted({k.path for k in self.amplitudes}))
 
     def path_probability(self, path: str) -> float:
         return float(sum(abs(a) ** 2 for k, a in self.amplitudes.items()
                          if k.path == path))
 
-    def __len__(self) -> int:
-        return len(self.amplitudes)
+    def modes(self) -> Iterator[ModeKey]:
+        """Every occupied mode."""
+        return iter(self.amplitudes)
 
     def __repr__(self) -> str:
         return f"PhotonState({len(self.amplitudes)} modes, K={self.truncation})"
 
 
-class TwoPhotonState:
+class TwoPhotonState(_SparseState):
     """Sparse two-photon state over joint keys (ModeKey, ModeKey).
 
     Photon slots 1 and 2 are positional and never permuted implicitly.
     """
 
-    __slots__ = ("amplitudes", "truncation")
-
-    def __init__(self, amplitudes: Mapping[tuple[ModeKey, ModeKey], complex],
-                 truncation: int, prune: bool = True):
-        k = int(truncation)
-        if k < 1:
-            raise TruncationError("truncation band must satisfy K >= 1")
-        self.amplitudes = _clean_amplitudes(amplitudes.items(), k, prune, _check_joint)
-        self.truncation = k
-
-    def items(self) -> Iterator[tuple[tuple[ModeKey, ModeKey], complex]]:
-        for key in sorted(self.amplitudes):
-            yield key, self.amplitudes[key]
-
-    def get(self, key: tuple[ModeKey, ModeKey]) -> complex:
-        return self.amplitudes.get(key, 0.0 + 0.0j)
-
-    def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for _, a in self.items()))
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def normalized(self) -> "TwoPhotonState":
-        n = self.norm()
-        if n < 1e-300:
-            raise NormalizationError("cannot normalize a zero state")
-        return TwoPhotonState({k: a / n for k, a in self.amplitudes.items()},
-                              self.truncation)
+    __slots__ = ()
+    _check = staticmethod(_check_joint)
 
     def slot_paths(self, slot: int) -> tuple[str, ...]:
         i = 0 if slot == 1 else 1
         return tuple(sorted({key[i].path for key in self.amplitudes}))
 
-    def paths(self) -> tuple[str, ...]:
-        return tuple(sorted({k.path for pair in self.amplitudes for k in pair}))
-
-    def __len__(self) -> int:
-        return len(self.amplitudes)
+    def modes(self) -> Iterator[ModeKey]:
+        """The mode of each photon of every occupied joint key."""
+        return (k for pair in self.amplitudes for k in pair)
 
     def __repr__(self) -> str:
         return f"TwoPhotonState({len(self.amplitudes)} joint modes, K={self.truncation})"
@@ -280,9 +287,7 @@ def parity_marginals(state: TwoPhotonState) -> dict[tuple[str, str], float]:
     Raises NormalizationError when the input norm deviates from 1 by more
     than NORM_CHECK_TOL.  The four entries always sum to the state norm.
     """
-    dev = abs(state.norm_sq() - 1.0)
-    if dev > NORM_CHECK_TOL:
-        raise NormalizationError(f"state norm**2 deviates from 1 by {dev:.3e}")
+    state.require_normalized()
     table = {(EVEN, EVEN): 0.0, (EVEN, ODD): 0.0,
              (ODD, EVEN): 0.0, (ODD, ODD): 0.0}
     for (k1, k2), amp in state.amplitudes.items():
@@ -311,8 +316,10 @@ class SpectrumModel:
         if self.kind not in ("uniform", "gaussian", "explicit"):
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.sigma is None or not 0 < self.sigma < math.inf:
-                raise ValueError("gaussian spectrum requires finite sigma > 0")
+            sigma = self.sigma
+            if sigma is None or not (0 < sigma <= GAUSSIAN_SIGMA_LIMIT and sigma * sigma > 0):
+                raise ValueError("gaussian spectrum requires sigma > 0 with sigma**2 > 0 "
+                                 f"and sigma <= {GAUSSIAN_SIGMA_LIMIT:g}")
         if self.kind == "explicit":
             if not self.coeffs:
                 raise ValueError("explicit spectrum requires coefficients")

@@ -21,12 +21,12 @@ from .elements import (
     Circuit,
     Element,
     WRAP_GUARD,
-    apply_circuit,
     apply_element,
     beam_splitter,
-    coincidence_detect,
     half_wave_plate,
+    joint_readout,
     polarizing_bs,
+    readout,
     spiral_phase_plate,
     _sorter_elements,
 )
@@ -118,17 +118,13 @@ def soba_route(state: PhotonState, wrap_guard=WRAP_GUARD) -> dict[str, float]:
         if key.path != "in" or key.m not in _CANONICAL_MS:
             raise ValueError(
                 "analyzer input must live on path 'in' with m in {0, 1}")
-    out = apply_circuit(build_soba(), state, wrap_guard=wrap_guard)
-    return {d: out.path_probability(d) for d in ("D1", "D2", "D3", "D4")}
+    return readout(build_soba(), state, wrap_guard)
 
 
 def joint_soba(state: TwoPhotonState, wrap_guard=WRAP_GUARD) -> dict[tuple[str, str], float]:
     """Coincidence probabilities of local analyzers on both photons."""
     circuit = build_soba()
-    out = apply_circuit(circuit, state, slot=1, wrap_guard=wrap_guard)
-    out = apply_circuit(circuit, out, slot=2, wrap_guard=wrap_guard)
-    dets = ("D1", "D2", "D3", "D4")
-    return {(a, b): coincidence_detect(out, a, b) for a in dets for b in dets}
+    return joint_readout(circuit, circuit, state, wrap_guard)
 
 
 def encode_polarization_bell(s: TwoPhotonState, label: str) -> TwoPhotonState:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import apply_circuit, build_s2_setup, build_s3_setup, build_sorter, detect
-from .hilbert import NORM_CHECK_TOL, NormalizationError, PhotonState
+from .elements import build_s2_setup, build_s3_setup, build_sorter, readout
+from .hilbert import PhotonState
 
 __all__ = [
     "StokesVector",
@@ -64,36 +64,27 @@ class QubitDensity:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
-def _check_normalized(state: PhotonState) -> None:
-    dev = abs(state.norm_sq() - 1.0)
-    if dev > NORM_CHECK_TOL:
-        raise NormalizationError(f"state norm**2 deviates from 1 by {dev:.3e}")
+def _intensities(circuit, state: PhotonState):
+    """(I1, I2) at the setup's two detector paths; the state must be normalized."""
+    state.require_normalized()
+    return tuple(readout(circuit, state).values())
 
 
 def measure_s0_s1(state: PhotonState):
     """Run the sorter; returns (I1, I2, s0, s1) with I1 the even-port intensity."""
-    _check_normalized(state)
-    out = apply_circuit(build_sorter(), state)
-    i1 = detect(out, "even_port")
-    i2 = detect(out, "odd_port")
+    i1, i2 = _intensities(build_sorter(), state)
     return i1, i2, i1 + i2, i1 - i2
 
 
 def measure_s2(state: PhotonState):
     """Diagonal-basis analyzer; returns (I1, I2, s2 = I2 - I1)."""
-    _check_normalized(state)
-    out = apply_circuit(build_s2_setup(), state)
-    i1 = detect(out, "d1")
-    i2 = detect(out, "d2")
+    i1, i2 = _intensities(build_s2_setup(), state)
     return i1, i2, i2 - i1
 
 
 def measure_s3(state: PhotonState):
     """Circular-basis analyzer; returns (I1, I2, s3 = I2 - I1)."""
-    _check_normalized(state)
-    out = apply_circuit(build_s3_setup(), state)
-    i1 = detect(out, "d1")
-    i2 = detect(out, "d2")
+    i1, i2 = _intensities(build_s3_setup(), state)
     return i1, i2, i2 - i1
 
 

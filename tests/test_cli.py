@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oamsim.cli import REPORT_SCHEMA, main
 
@@ -337,3 +341,82 @@ class TestMalformedInput:
 
     def test_too_many_ekert_rounds(self, capsys):
         assert_one_json_error(capsys, ("ekert", "--rounds", str(10 ** 12), "--seed", "1"))
+
+    @pytest.mark.parametrize("argv", [
+        ("sorter", "--state", '{"terms":[{"m":0,"re":"nan"},{"m":1,"re":1}]}'),
+        ("sorter", "--state", '{"terms":[{"m":0,"re":"Infinity"},{"m":1,"re":1}]}'),
+        ("sorter", "--state", '{"terms":[{"m":0,"re":Infinity},{"m":1,"re":1}]}'),
+        ("sorter", "--state", '{"terms":[{"m":0,"im":-Infinity},{"m":1,"re":1}]}'),
+        ("sorter", "--state", '{"terms":[{"m":0,"re":1e308},{"m":1,"re":1e308}]}'),
+        ("sorter", "--state", '{"coeffs":[[0,1e308],[1,1e308]]}'),
+        ("sorter", "--state", '{"coeffs":[[0,1e150],[0,1e150]]}'),
+        (*BELL_ARGS, "--spectrum", '{"kind":"explicit","coeffs":[[0,1e308],[1,1e308]]}'),
+    ])
+    def test_non_finite_or_huge_amplitudes(self, capsys, argv):
+        assert_one_json_error(capsys, argv)
+
+    def test_amplitudes_at_the_limit_are_accepted(self, capsys):
+        code, report = run_json(capsys, "sorter", "--state",
+                                '{"coeffs":[[0,1e150],[1,0,1e150]]}')
+        assert code == 0
+        assert report["probabilities"]["even_port"] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ("state", "--spectrum", "gaussian:1e-300"),
+        ("state", "--spectrum", "gaussian:1e9"),
+        ("state", "--spectrum", '{"kind":"gaussian","sigma":1e-300}'),
+        (*BELL_ARGS, "--spectrum", '{"kind":"gaussian","sigma":1e-300}'),
+    ])
+    def test_gaussian_sigma_out_of_range(self, capsys, argv):
+        assert_one_json_error(capsys, argv)
+
+
+# JSON values a --state payload may carry where a number belongs: mostly
+# valid non-zero numbers, otherwise NaN, infinities, overflowing or tiny
+# magnitudes, bools, null, strings and lists.
+_GOOD = st.one_of(st.floats(0.01, 10), st.floats(-10, -0.01))
+_BAD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e308, 1e151, 1e150, 1e-320, 0, "nan", "-Infinity", "0.5"]),
+    st.booleans(), st.none(), st.sampled_from(["", "x", "1e9"]),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+_VALUES = st.one_of(_GOOD, _GOOD, _GOOD, _BAD)
+_M = st.one_of(st.integers(-8, 8), st.integers(-8, 8), st.floats(-8, 8), st.booleans(),
+               st.sampled_from(["2", "m", "1.5"]))
+_ROW = st.one_of(st.tuples(st.integers(-8, 8), _VALUES).map(list),
+                 st.tuples(st.integers(-8, 8), _VALUES, _VALUES).map(list),
+                 st.lists(st.one_of(_M, _VALUES), max_size=4))
+_TERM = st.fixed_dictionaries(
+    {"m": _M}, optional={"re": _VALUES, "im": _VALUES,
+                         "pol": st.sampled_from(["H", "V", "D"]),
+                         "path": st.sampled_from(["in", "x"])})
+_PAYLOADS = st.one_of(
+    st.fixed_dictionaries({"coeffs": st.lists(
+        st.tuples(st.integers(-8, 8), _GOOD, _GOOD).map(list), min_size=1, max_size=3)}),
+    st.fixed_dictionaries({"terms": st.lists(st.fixed_dictionaries(
+        {"m": st.integers(-8, 8), "re": _GOOD, "im": _GOOD}), min_size=1, max_size=3)}),
+    st.fixed_dictionaries({"coeffs": st.lists(_ROW, min_size=1, max_size=3)}),
+    st.fixed_dictionaries({"terms": st.lists(_TERM, min_size=1, max_size=3)}),
+    st.fixed_dictionaries({"coeffs": _BAD}),
+    st.fixed_dictionaries({"terms": _BAD}))
+
+
+class TestStatePayloadProperty:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=_PAYLOADS)
+    def test_one_json_object_and_exit_0_or_2(self, payload):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["sorter", "-K", "8", "--state", json.dumps(payload)])
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert isinstance(report, dict)
+        if code == 0:
+            probs = report["probabilities"].values()
+            assert all(0.0 <= p <= 1.0 + 1e-9 for p in probs)
+            assert sum(probs) <= 1.0 + 1e-9  # weight off path "in" misses the sorter
+        else:
+            assert code == 2 and report["error"]["code"] == "validation"

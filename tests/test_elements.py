@@ -24,9 +24,11 @@ from oamsim.elements import (
     dove_prism,
     element_matrix,
     half_wave_plate,
+    joint_readout,
     mirror,
     phase_delay,
     polarizing_bs,
+    readout,
     spiral_phase_plate,
 )
 from oamsim.hilbert import (
@@ -38,7 +40,13 @@ from oamsim.hilbert import (
     mode,
 )
 from oamsim.soba import build_soba
-from helpers import pool_paths, random_circuit, random_full_state, random_oam_state
+from helpers import (
+    pool_paths,
+    random_circuit,
+    random_full_state,
+    random_oam_state,
+    random_two_photon,
+)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -248,6 +256,101 @@ class TestCircuits:
                 "elements": [{"kind": "prism", "in": ["in"], "out": ["in"]}]}
         with pytest.raises(ValueError):
             circuit_from_dict(desc)
+
+
+BUILTIN_SETUPS = {
+    "sorter": build_sorter,
+    "s2_setup": build_s2_setup,
+    "s3_setup": build_s3_setup,
+    "projection_tunable": lambda: build_projection(0.6),
+    "projection_tunable_obtuse": lambda: build_projection(2.2),
+    "projection_polarization": lambda: build_projection(0.6, "polarization"),
+    "soba": build_soba,
+}
+
+
+def with_all_detectors(circuit):
+    """The circuit with a detector on every path it knows."""
+    return Circuit(circuit.name, circuit.elements, circuit.input_path, circuit.paths())
+
+
+def random_pool_pair(rng, truncation):
+    """Product of two random single-photon states over three pool paths."""
+    a = random_full_state(rng, truncation, paths=pool_paths()[:3])
+    b = random_full_state(rng, truncation, paths=pool_paths()[:3])
+    return TwoPhotonState({(k1, k2): x * y for k1, x in a.amplitudes.items()
+                           for k2, y in b.amplitudes.items()}, truncation)
+
+
+class TestReadout:
+    """readout/joint_readout give exactly the per-port detect/coincidence_detect values."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SETUPS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_builtin_single_photon(self, name, seed):
+        rng = np.random.default_rng(300 + seed)
+        circuit = BUILTIN_SETUPS[name]()
+        state = random_full_state(rng, 4)
+        probs = readout(circuit, state, wrap_guard=None)
+        out = apply_circuit(circuit, state, wrap_guard=None)
+        assert tuple(probs) == circuit.detector_paths
+        assert probs == {p: detect(out, p) for p in circuit.detector_paths}
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SETUPS))
+    def test_builtin_pair(self, name):
+        rng = np.random.default_rng(310)
+        circuit = BUILTIN_SETUPS[name]()
+        pair = random_two_photon(rng, 4, n_terms=10)
+        probs = joint_readout(circuit, circuit, pair, wrap_guard=None)
+        out = apply_circuit(circuit, pair, slot=1, wrap_guard=None)
+        out = apply_circuit(circuit, out, slot=2, wrap_guard=None)
+        dets = circuit.detector_paths
+        assert list(probs) == [(a, b) for a in dets for b in dets]
+        assert probs == {(a, b): coincidence_detect(out, a, b) for a, b in probs}
+
+    def test_projection_pair_with_two_circuits(self):
+        rng = np.random.default_rng(311)
+        alice, bob = build_projection(0.3), build_projection(1.1)
+        pair = random_two_photon(rng, 6, n_terms=12, margin=1)
+        probs = joint_readout(alice, bob, pair)
+        out = apply_circuit(bob, apply_circuit(alice, pair, slot=1), slot=2)
+        assert probs == {(a, b): coincidence_detect(out, a, b) for a, b in probs}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_circuits(self, seed):
+        rng = np.random.default_rng(320 + seed)
+        c1 = with_all_detectors(random_circuit(rng, int(rng.integers(1, 9))))
+        c2 = with_all_detectors(random_circuit(rng, int(rng.integers(1, 9))))
+        single = random_full_state(rng, 2, paths=pool_paths()[:2])
+        out = apply_circuit(c1, single, wrap_guard=None)
+        assert readout(c1, single, wrap_guard=None) == {
+            p: detect(out, p) for p in c1.detector_paths}
+        pair = random_pool_pair(rng, 2)
+        out = apply_circuit(c1, pair, slot=1, wrap_guard=None)
+        out = apply_circuit(c2, out, slot=2, wrap_guard=None)
+        probs = joint_readout(c1, c2, pair, wrap_guard=None)
+        assert probs == {(a, b): coincidence_detect(out, a, b) for a, b in probs}
+        assert sum(probs.values()) <= 1.0 + 1e-12
+
+    def test_dark_detector_reads_zero(self):
+        # "c" is fed only from the empty path "b".
+        circuit = Circuit("dark", (mirror("in", "a"), mirror("b", "c")), "in", ("a", "c"))
+        state = PhotonState({mode(1): SQ2, mode(2, V): SQ2}, 3)
+        assert readout(circuit, state) == {"a": detect(state, "in"), "c": 0.0}
+        pair = TwoPhotonState({(mode(0), mode(1)): 1.0}, 3)
+        assert joint_readout(circuit, circuit, pair) == {
+            ("a", "a"): 1.0, ("a", "c"): 0.0, ("c", "a"): 0.0, ("c", "c"): 0.0}
+
+    def test_wrap_guard_is_passed_on(self):
+        # The even arm's +1 spiral plate pushes m = 2 across the K = 2 edge.
+        state = PhotonState({mode(2): 1.0}, 2)
+        with pytest.raises(WrapGuardError):
+            readout(build_s2_setup(), state)
+        assert sum(readout(build_s2_setup(), state, wrap_guard=None).values()) == \
+            pytest.approx(1.0, abs=1e-12)
+        pair = TwoPhotonState({(mode(0), mode(2)): 1.0}, 2)
+        with pytest.raises(WrapGuardError):
+            joint_readout(build_sorter(), build_s2_setup(), pair)
 
 
 def reference_element_matrix(elem, basis):

@@ -6,9 +6,11 @@ import pytest
 
 from oamsim import hilbert
 from oamsim.hilbert import (
+    AMPLITUDE_LIMIT,
     DENSE_BYTES_LIMIT,
     DENSE_DIM_LIMIT,
     EVEN,
+    GAUSSIAN_SIGMA_LIMIT,
     H,
     ODD,
     V,
@@ -19,6 +21,7 @@ from oamsim.hilbert import (
     SpectrumModel,
     TruncationError,
     TwoPhotonState,
+    add_amplitude,
     inner_product,
     mode,
     parity,
@@ -107,6 +110,29 @@ class TestStates:
         assert ks == sorted(ks)
 
 
+class TestStateCore:
+    def test_both_kinds_share_one_body(self):
+        pair = TwoPhotonState({(mode(0), mode(1, V, "b")): 3.0}, 2)
+        assert not isinstance(pair, PhotonState)
+        assert not isinstance(PhotonState({mode(0): 1.0}, 2), TwoPhotonState)
+        assert type(pair.normalized()) is TwoPhotonState
+        assert type(PhotonState({mode(0): 2.0}, 2).normalized()) is PhotonState
+        assert list(pair.modes()) == [mode(0), mode(1, V, "b")]
+        assert pair.paths() == ("b", "in")
+        with pytest.raises(TypeError):
+            inner_product(pair, PhotonState({mode(0): 1.0}, 2))
+
+    @pytest.mark.parametrize("state", [
+        PhotonState({mode(0): 0.5}, 4),
+        TwoPhotonState({(mode(0), mode(1)): 0.5}, 4),
+    ], ids=["photon", "pair"])
+    def test_require_normalized(self, state):
+        with pytest.raises(NormalizationError,
+                           match=r"state norm\*\*2 deviates from 1 by 7\.500e-01"):
+            state.require_normalized()
+        assert state.normalized().require_normalized() is None
+
+
 class TestParityMarginals:
     def test_even_odd_entangled_pair(self):
         amps = {(mode(0), mode(1)): SQ2, (mode(1), mode(0)): SQ2}
@@ -177,9 +203,16 @@ class TestSpectrumModel:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             SpectrumModel("triangular")
-        for sigma in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
+        # sigma**2 underflows to 0 below about 2e-162; above the limit the
+        # out-of-band tail loop would run for about 12 * sigma steps.
+        for sigma in (-1.0, float("nan"), float("inf"), 1e-300, 1e-170,
+                      GAUSSIAN_SIGMA_LIMIT * (1 + 1e-15), 1e9):
+            with pytest.raises(ValueError, match="sigma"):
                 SpectrumModel.gaussian(sigma)
+
+    def test_gaussian_sigma_limits_are_inclusive(self):
+        for sigma in (1e-150, GAUSSIAN_SIGMA_LIMIT):
+            assert SpectrumModel.gaussian(sigma).sigma == sigma
 
 
 class TestSerialization:
@@ -250,7 +283,32 @@ class TestCoeffRows:
         [[]], [[0]], [[0, 1.0, 0.0, 2.0]], [[1.5, 1.0]], [[True, 1.0]],
         [[None, 1.0]], [["1.5", 1.0]], [[float("inf"), 1.0]], {"0": 1}, [0, 1], 5,
         [[0, float("nan")]], [[0, 1.0, float("inf")]],
+        [[0, 1e308], [1, 1e308]], [[0, 0.0, -1e151]], [[0, 1e150], [0, 1e150]],
+        [[0, 1e150, 1e150]],
     ])
     def test_malformed_rows_rejected(self, rows):
         with pytest.raises(ValueError):
             parse_coeff_rows(rows)
+
+    def test_magnitudes_at_the_limit_square_finitely(self):
+        coeffs = parse_coeff_rows([[0, AMPLITUDE_LIMIT], [1, 0.0, -AMPLITUDE_LIMIT]])
+        assert math.isfinite(SpectrumModel.explicit(coeffs).realize(1)[0].real)
+        assert math.isfinite(1e8 * AMPLITUDE_LIMIT ** 2)
+
+
+class TestAddAmplitude:
+    def test_sums_into_the_key(self):
+        amps = {}
+        add_amplitude(amps, "k", 0.5)
+        add_amplitude(amps, "k", "0.25", -1)
+        assert amps == {"k": complex(0.75, -1.0)}
+
+    @pytest.mark.parametrize("re,im", [
+        (float("nan"), 0.0), ("nan", 0.0), (0.0, float("inf")), ("-Infinity", 0.0),
+        (1e308, 0.0), (1e308, 1e308),
+    ])
+    def test_non_finite_or_huge_rejected_and_not_stored(self, re, im):
+        amps = {"k": 1.0}
+        with pytest.raises(ValueError, match="finite"):
+            add_amplitude(amps, "k", re, im)
+        assert amps == {"k": 1.0}

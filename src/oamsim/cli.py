@@ -117,6 +117,11 @@ def _env_defaults() -> dict:
     return data
 
 
+def _reason(exc: Exception) -> str:
+    """Message of a parse failure; str(KeyError) is only the key's repr."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _parse_spectrum(text: str | None) -> SpectrumModel:
     if text is None or text == "uniform":
         return SpectrumModel.uniform()
@@ -124,13 +129,13 @@ def _parse_spectrum(text: str | None) -> SpectrumModel:
         try:
             return SpectrumModel.gaussian(float(text.split(":", 1)[1]))
         except ValueError as exc:
-            raise ValidationError(f"bad gaussian spectrum {text!r}") from exc
+            raise ValidationError(f"bad gaussian spectrum {text!r}: {exc}") from exc
     if text == "canonical":
         return canonical_pair_spectrum()
     try:
         return SpectrumModel.from_dict(json.loads(text))
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        raise ValidationError(f"bad spectrum {text!r}: {exc}") from exc
+        raise ValidationError(f"bad spectrum {text!r}: {_reason(exc)}") from exc
 
 
 def _parse_state(text: str, truncation: int) -> PhotonState:
@@ -151,12 +156,16 @@ def _parse_state(text: str, truncation: int) -> PhotonState:
             for term in data["terms"]:
                 key = mode(oam_index(term["m"]), str(term.get("pol", "H")),
                            str(term.get("path", "in")))
+                # Every setup takes its photon on path "in"; weight elsewhere
+                # would pass every detector by.
+                if key.path != "in":
+                    raise ValueError(f"state terms must be on path 'in', got {key.path!r}")
                 add_amplitude(amps, key, term.get("re", 0.0), term.get("im", 0.0))
         else:
-            raise KeyError("state JSON needs 'coeffs' or 'terms'")
+            raise ValueError("state JSON needs 'coeffs' or 'terms'")
         return PhotonState(amps, truncation).normalized()
     except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ValidationError(f"bad state {text!r}: {exc}") from exc
+        raise ValidationError(f"bad state {text!r}: {_reason(exc)}") from exc
 
 
 def _base_config(args, spectrum: SpectrumModel | None = None) -> dict:

@@ -15,14 +15,19 @@ Conventions (fixed package-wide):
     and "pc_o" (polarization controlled parity NOT) permute the modes on
     each of their paths, with the same cyclic m shift and guard.
 
-Elements and circuits are immutable; application is a pure function.
+Elements and circuits are immutable; application is a pure function.  What
+an element does to each basis mode is computed once per (element, K) and
+kept in a bounded LRU (see ACTION_CACHE_SIZE); the built-in setups are built
+once per process.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -34,6 +39,7 @@ from .hilbert import (
     ModeKey,
     PhotonState,
     TwoPhotonState,
+    _clean_amplitudes,
 )
 
 __all__ = [
@@ -74,10 +80,20 @@ class WrapGuardError(RuntimeError):
 
 @dataclass(frozen=True, eq=True)
 class Element:
+    """One element on named paths.  `params` is a read-only mapping, so one
+    element can be shared by every caller of a memoized setup; the hash
+    leaves it out, which keeps equal elements hashing equal."""
+
     kind: str
     in_paths: tuple[str, ...]
     out_paths: tuple[str, ...]
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict, hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    def __reduce__(self):  # a mappingproxy does not pickle; its dict does
+        return type(self), (self.kind, self.in_paths, self.out_paths, dict(self.params))
 
     def paths(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(self.in_paths + self.out_paths))
@@ -90,9 +106,15 @@ def _require_disjoint(in_paths, out_paths) -> None:
         raise ValueError("port paths must be pairwise distinct")
 
 
-def _assert_local_unitary(matrix) -> None:
-    u = np.asarray(matrix, dtype=complex)
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-12:
+def _assert_local_unitary(a, b, c, d) -> None:
+    """Every entry of U^H U - I for U = [[a, b], [c, d]] lies within 1e-12.
+
+    Each test reads `not gap <= tol`, so a NaN entry fails it.
+    """
+    diag_a = abs(abs(a) ** 2 + abs(c) ** 2 - 1.0)
+    diag_b = abs(abs(b) ** 2 + abs(d) ** 2 - 1.0)
+    off = abs(a.conjugate() * b + c.conjugate() * d)
+    if not (diag_a <= 1e-12 and diag_b <= 1e-12 and off <= 1e-12):
         raise ValueError("element parameters do not give a unitary action")
 
 
@@ -104,7 +126,7 @@ def beam_splitter(in_a: str, in_b: str, out_a: str, out_b: str,
         raise ValueError(f"transmission amplitude must lie in [0, 1], got {t}")
     _require_disjoint((in_a, in_b), (out_a, out_b))
     r = math.sqrt(max(0.0, 1.0 - t * t))
-    _assert_local_unitary([[t, 1j * r], [1j * r, t]])
+    _assert_local_unitary(t, 1j * r, 1j * r, t)
     return Element("bs", (in_a, in_b), (out_a, out_b), {"t": t})
 
 
@@ -126,8 +148,10 @@ def spiral_phase_plate(path: str, q: int) -> Element:
 
 def half_wave_plate(path: str, theta: float) -> Element:
     theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError("half-wave plate angle must be finite")
     c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
-    _assert_local_unitary([[c, s], [s, -c]])
+    _assert_local_unitary(c, s, s, -c)
     return Element("hwp", (path,), (path,), {"theta": theta})
 
 
@@ -233,14 +257,41 @@ def _key_action(elem: Element, key: ModeKey, truncation: int):
     return [(key, 1.0, False)]  # modes on unrelated paths pass through
 
 
+# Action tables, one per (element, K), of the most recently used elements:
+# mode -> _key_action(elem, mode, K), filled the first time each mode is
+# seen.  The memoized setups hold 19 distinct elements; one qubit-batch
+# operation adds 2 recurring and 4 one-off projection elements.  Measured on
+# 2 cores (Python 3.11): 3000 qubit-batch operations took 11.2-11.8 s with 16
+# tables against 9.1-10.1 s with 32; 64 tables raised the oracle workload's
+# peak RSS by 2.2 MB and 512 tables qubit-batch's by 3.3 MB.
+ACTION_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=ACTION_CACHE_SIZE)
+def _table(ident: tuple) -> dict:
+    return {}
+
+
+def _action_table(elem: Element, truncation: int) -> dict:
+    # Parameters enter by their repr, so values that are == but differ in
+    # their bits (0.0 and -0.0) never share a table.
+    return _table((elem.kind, elem.in_paths, elem.out_paths,
+                   tuple((name, repr(value)) for name, value in elem.params.items()),
+                   truncation))
+
+
 def _apply_pass(elem: Element, amps: dict, truncation: int, idx, wrap_guard) -> dict:
     """One pass of `elem` over amplitudes; `idx` is the photon of a joint key
     (0 or 1), or None for single-photon keys."""
+    table = _action_table(elem, truncation)
     out: dict = {}
     wrapped_weight = 0.0
     for key, amp in amps.items():
-        for new_key, factor, wrapped in _key_action(
-                elem, key if idx is None else key[idx], truncation):
+        mode_key = key if idx is None else key[idx]
+        action = table.get(mode_key)
+        if action is None:
+            action = table[mode_key] = _key_action(elem, mode_key, truncation)
+        for new_key, factor, wrapped in action:
             contrib = amp * factor
             if wrapped:
                 wrapped_weight += abs(contrib) ** 2
@@ -253,9 +304,14 @@ def _apply_pass(elem: Element, amps: dict, truncation: int, idx, wrap_guard) -> 
     return out
 
 
-def apply_element(elem: Element, state, slot="both", wrap_guard=WRAP_GUARD,
-                  prune: bool = True):
-    """Apply one element; only the addressed photon slot is transformed."""
+def _evolve(elements, state, slot, wrap_guard, prune: bool):
+    """Apply `elements` in order to the raw amplitudes of `state`.
+
+    Between elements the amplitudes are cleaned exactly as the state
+    constructor cleans them (band check, zero and PRUNE_EPS drops, signed
+    zeros cleared); the constructor at the end cleans after the last one.
+    So the result equals building a state after every element, bit for bit.
+    """
     if isinstance(state, PhotonState):
         idxs = (None,)
     elif isinstance(state, TwoPhotonState):
@@ -264,10 +320,20 @@ def apply_element(elem: Element, state, slot="both", wrap_guard=WRAP_GUARD,
         idxs = (0, 1) if slot == "both" else (slot - 1,)
     else:
         raise TypeError(f"cannot apply element to {type(state).__name__}")
+    k = state.truncation
     amps = state.amplitudes
-    for idx in idxs:
-        amps = _apply_pass(elem, amps, state.truncation, idx, wrap_guard)
-    return type(state)(amps, state.truncation, prune=prune)
+    for n, elem in enumerate(elements):
+        if n:
+            amps = _clean_amplitudes(amps.items(), k, prune, state._check)
+        for idx in idxs:
+            amps = _apply_pass(elem, amps, k, idx, wrap_guard)
+    return type(state)(amps, k, prune=prune)
+
+
+def apply_element(elem: Element, state, slot="both", wrap_guard=WRAP_GUARD,
+                  prune: bool = True):
+    """Apply one element; only the addressed photon slot is transformed."""
+    return _evolve((elem,), state, slot, wrap_guard, prune)
 
 
 @dataclass(frozen=True)
@@ -295,10 +361,7 @@ class Circuit:
 
 def apply_circuit(circuit: Circuit, state, slot="both", wrap_guard=WRAP_GUARD,
                   prune: bool = True):
-    for elem in circuit.elements:
-        state = apply_element(elem, state, slot=slot, wrap_guard=wrap_guard,
-                              prune=prune)
-    return state
+    return _evolve(circuit.elements, state, slot, wrap_guard, prune)
 
 
 def detect(state: PhotonState, path: str) -> float:
@@ -371,6 +434,7 @@ def _sorter_elements(inp: str, even_out: str, odd_out: str, tag: str) -> list[El
     ]
 
 
+@functools.cache
 def build_sorter() -> Circuit:
     """Even/odd OAM sorter: 'in' -> detector paths 'even_port' / 'odd_port'."""
     return Circuit(
@@ -389,6 +453,7 @@ def _analyzer_front(tag: str = "a_") -> list[Element]:
     return elems
 
 
+@functools.cache
 def build_s2_setup() -> Circuit:
     """Diagonal-basis analyzer; s2 = P(d2) - P(d1)."""
     elems = _analyzer_front()
@@ -396,6 +461,7 @@ def build_s2_setup() -> Circuit:
     return Circuit("s2_setup", tuple(elems), "in", ("d1", "d2"))
 
 
+@functools.cache
 def build_s3_setup() -> Circuit:
     """Circular-basis analyzer: extra quarter-cycle delay; s3 = P(d2) - P(d1)."""
     elems = _analyzer_front()

@@ -146,7 +146,7 @@ def _clean_amplitudes(items, truncation: int, prune: bool, check):
         z = complex(value)
         if z == 0.0 or (prune and abs(z) < PRUNE_EPS):
             continue
-        amps[key] = amps.get(key, 0.0 + 0.0j) + z
+        amps[key] = 0j + z  # keys of a mapping are unique; 0j + z clears -0.0
     return amps
 
 

@@ -13,6 +13,7 @@ round trip deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -93,6 +94,7 @@ def pc_o_gate(state, slot: int = 1, wrap_guard=WRAP_GUARD):
     return _gate("pc_o", state, slot, wrap_guard)
 
 
+@functools.cache
 def build_soba() -> Circuit:
     """Spin-orbit Bell-state analyzer with detectors D1..D4."""
     elems = _sorter_elements("in", "even_arm", "odd_arm", "sb_")

@@ -370,6 +370,27 @@ class TestMalformedInput:
     def test_gaussian_sigma_out_of_range(self, capsys, argv):
         assert_one_json_error(capsys, argv)
 
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_non_finite_wave_plate_angle(self, capsys, theta):
+        assert_one_json_error(capsys, ("bell", "--theta", theta, "--theta2", "45",
+                                       "--chi", "22.5", "--chi2", "67.5",
+                                       "--variant", "polarization"))
+
+    @pytest.mark.parametrize("command", ["sorter", "tomography", "soba"])
+    def test_state_terms_off_the_input_path(self, capsys, command):
+        assert_one_json_error(capsys, (command, "--state",
+                                       '{"terms":[{"m":0,"re":1,"path":"x"}]}'))
+
+    @pytest.mark.parametrize("argv,reason", [
+        (("sorter", "--state", '{"terms":[{"re":1}]}'), "missing key 'm'"),
+        (("state", "--spectrum", '{"kind":"gaussian"}'), "missing key 'sigma'"),
+        ((*BELL_ARGS, "--spectrum", "gaussian:1e9"), "sigma <= 10000"),
+    ])
+    def test_error_message_names_the_reason(self, capsys, argv, reason):
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert reason in report["error"]["message"]
+
 
 # JSON values a --state payload may carry where a number belongs: mostly
 # valid non-zero numbers, otherwise NaN, infinities, overflowing or tiny
@@ -395,7 +416,8 @@ _PAYLOADS = st.one_of(
     st.fixed_dictionaries({"coeffs": st.lists(
         st.tuples(st.integers(-8, 8), _GOOD, _GOOD).map(list), min_size=1, max_size=3)}),
     st.fixed_dictionaries({"terms": st.lists(st.fixed_dictionaries(
-        {"m": st.integers(-8, 8), "re": _GOOD, "im": _GOOD}), min_size=1, max_size=3)}),
+        {"m": st.integers(-8, 8), "re": _GOOD, "im": _GOOD},
+        optional={"path": st.sampled_from(["in", "x"])}), min_size=1, max_size=3)}),
     st.fixed_dictionaries({"coeffs": st.lists(_ROW, min_size=1, max_size=3)}),
     st.fixed_dictionaries({"terms": st.lists(_TERM, min_size=1, max_size=3)}),
     st.fixed_dictionaries({"coeffs": _BAD}),
@@ -417,6 +439,6 @@ class TestStatePayloadProperty:
         if code == 0:
             probs = report["probabilities"].values()
             assert all(0.0 <= p <= 1.0 + 1e-9 for p in probs)
-            assert sum(probs) <= 1.0 + 1e-9  # weight off path "in" misses the sorter
+            assert sum(probs) == pytest.approx(1.0, abs=1e-9)
         else:
             assert code == 2 and report["error"]["code"] == "validation"

@@ -1,12 +1,19 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from oamsim import elements
 from oamsim.elements import (
+    ACTION_CACHE_SIZE,
+    WRAP_GUARD,
     Circuit,
     Element,
     WrapGuardError,
+    _action_table,
+    _assert_local_unitary,
     _key_action,
     apply_circuit,
     apply_element,
@@ -128,6 +135,22 @@ class TestSingleElements:
             beam_splitter("a", "b", "c", "d", t=1.2)
         with pytest.raises(ValueError):
             mirror("a", "a")
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_wave_plate_angle_rejected(self, theta):
+        with pytest.raises(ValueError):
+            half_wave_plate("in", theta)
+
+    @pytest.mark.parametrize("entries", [
+        (math.nan, 0.0, 0.0, 1.0),
+        (1.0, math.nan, 0.0, 1.0),
+        (1.0, 0.0, 0.0, 1.0 + 2e-12),
+        (1.0, 2e-12, 0.0, 1.0),
+    ])
+    def test_local_unitary_check_fails_on_nan_and_gaps(self, entries):
+        with pytest.raises(ValueError):
+            _assert_local_unitary(*entries)
+        _assert_local_unitary(SQ2, 1j * SQ2, 1j * SQ2, SQ2 + 5e-13)
 
 
 class TestSorter:
@@ -351,6 +374,150 @@ class TestReadout:
         pair = TwoPhotonState({(mode(0), mode(2)): 1.0}, 2)
         with pytest.raises(WrapGuardError):
             joint_readout(build_sorter(), build_s2_setup(), pair)
+
+
+def reference_apply_circuit(circuit, state, slot="both", wrap_guard=WRAP_GUARD,
+                            prune=True):
+    """The evolution without action tables (reference): each element's pass
+    calls _key_action for every term, then a state is built from its output."""
+    idxs = (None,) if isinstance(state, PhotonState) else \
+        (0, 1) if slot == "both" else (slot - 1,)
+    for elem in circuit.elements:
+        amps = state.amplitudes
+        for idx in idxs:
+            out = {}
+            wrapped_weight = 0.0
+            for key, amp in amps.items():
+                mode_key = key if idx is None else key[idx]
+                for new_key, factor, wrapped in _key_action(elem, mode_key,
+                                                            state.truncation):
+                    contrib = amp * factor
+                    if wrapped:
+                        wrapped_weight += abs(contrib) ** 2
+                    if idx is not None:
+                        new_key = (new_key, key[1]) if idx == 0 else (key[0], new_key)
+                    out[new_key] = out.get(new_key, 0.0 + 0.0j) + contrib
+            if wrap_guard is not None and wrapped_weight > wrap_guard:
+                raise WrapGuardError(elem.kind)
+            amps = out
+        state = type(state)(amps, state.truncation, prune=prune)
+    return state
+
+
+def assert_bit_identical(got, want):
+    """Same kind, band, keys in the same order and the same repr per amplitude
+    (so signed zeros and the last bit count)."""
+    assert type(got) is type(want) and got.truncation == want.truncation
+    assert list(got.amplitudes) == list(want.amplitudes)
+    assert [repr(a) for a in got.amplitudes.values()] == \
+        [repr(a) for a in want.amplitudes.values()]
+
+
+def assert_matches_reference(circuit, state, **kwargs):
+    """Cold tables, then warm tables, both equal to the reference."""
+    want = reference_apply_circuit(circuit, state, **kwargs)
+    elements._table.cache_clear()
+    assert_bit_identical(apply_circuit(circuit, state, **kwargs), want)
+    assert_bit_identical(apply_circuit(circuit, state, **kwargs), want)
+
+
+class TestActionCache:
+    """apply_circuit through the action tables equals the per-element
+    reference evolution bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SETUPS))
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_builtin_single_photon(self, name, prune):
+        rng = np.random.default_rng(400)
+        circuit = BUILTIN_SETUPS[name]()
+        assert_matches_reference(circuit, random_full_state(rng, 4),
+                                 wrap_guard=None, prune=prune)
+        assert_matches_reference(circuit, random_oam_state(rng, 8, modes=range(-6, 6)),
+                                 prune=prune)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SETUPS))
+    @pytest.mark.parametrize("slot", [1, 2, "both"])
+    def test_builtin_pair(self, name, slot):
+        rng = np.random.default_rng(410)
+        pair = random_two_photon(rng, 4, n_terms=10)
+        assert_matches_reference(BUILTIN_SETUPS[name](), pair, slot=slot,
+                                 wrap_guard=None)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_circuits(self, seed):
+        rng = np.random.default_rng(420 + seed)
+        circuit = random_circuit(rng, int(rng.integers(1, 13)))
+        single = random_full_state(rng, 2, paths=pool_paths())
+        pair = random_pool_pair(rng, 2)
+        for prune in (True, False):
+            assert_matches_reference(circuit, single, wrap_guard=None, prune=prune)
+            for slot in (1, 2, "both"):
+                assert_matches_reference(circuit, pair, slot=slot, wrap_guard=None,
+                                         prune=prune)
+
+    def test_every_kind_including_gates(self):
+        rng = np.random.default_rng(430)
+        circuit = Circuit("kinds", ONE_OF_EACH_KIND, "p0", ())
+        assert_matches_reference(circuit, random_full_state(rng, 3, paths=pool_paths()),
+                                 wrap_guard=None)
+        assert_matches_reference(circuit, random_pool_pair(rng, 2), wrap_guard=None)
+
+    def test_wrap_guard_fires_as_in_the_reference(self):
+        state = PhotonState({mode(2): 1.0}, 2)
+        for run in (reference_apply_circuit, apply_circuit):
+            with pytest.raises(WrapGuardError):
+                run(build_s2_setup(), state)
+
+    def test_signed_zero_parameters_never_share_a_table(self):
+        plus, minus = half_wave_plate("in", 0.0), half_wave_plate("in", -0.0)
+        assert plus == minus and hash(plus) == hash(minus)
+        state = PhotonState({mode(0, H): 1.0}, 2)
+        apply_element(plus, state)
+        apply_element(minus, state)
+        assert _action_table(plus, 2) is not _action_table(minus, 2)
+        assert repr(_action_table(plus, 2)[mode(0, H)][1][1]) == "0.0"
+        assert repr(_action_table(minus, 2)[mode(0, H)][1][1]) == "-0.0"
+
+    def test_cache_holds_at_most_its_bound(self):
+        state = PhotonState({mode(0, H): 1.0}, 2)
+        plates = [phase_delay("in", 0.01 * n) for n in range(ACTION_CACHE_SIZE + 10)]
+        elements._table.cache_clear()
+        for plate in plates:
+            apply_element(plate, state)
+            assert elements._table.cache_info().currsize <= ACTION_CACHE_SIZE
+        assert elements._table.cache_info().currsize == ACTION_CACHE_SIZE
+        # least recently used first out: the newest tables are the ones kept
+        misses = elements._table.cache_info().misses
+        for plate in plates[-ACTION_CACHE_SIZE:]:
+            _action_table(plate, 2)
+        assert elements._table.cache_info().misses == misses
+        _action_table(plates[0], 2)
+        assert elements._table.cache_info().misses == misses + 1
+
+    def test_elements_hash_and_equal_elements_hash_equal(self):
+        a = beam_splitter("a", "b", "c", "d", t=0.3)
+        b = beam_splitter("a", "b", "c", "d", t=0.3)
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert len({a, b, beam_splitter("a", "b", "c", "d", t=0.4)}) == 2
+        assert hash(Element("oc_p", ("p1",), ("p1",))) == hash(Element("oc_p", ("p1",), ("p1",)))
+
+    def test_circuits_still_pickle_and_copy(self):
+        circuit = build_soba()
+        for clone in (pickle.loads(pickle.dumps(circuit)), copy.deepcopy(circuit)):
+            assert clone == circuit and clone is not circuit
+            assert clone.elements[0].params == {"t": SQ2}
+            with pytest.raises(TypeError):
+                clone.elements[0].params["t"] = 0.0
+
+    @pytest.mark.parametrize("builder", [build_sorter, build_s2_setup, build_s3_setup,
+                                         build_soba])
+    def test_memoized_setups_are_read_only(self, builder):
+        circuit = builder()
+        assert builder() is circuit
+        for elem in circuit.elements:
+            with pytest.raises(TypeError):
+                elem.params["t"] = 0.0
+        assert circuit_to_dict(builder()) == circuit_to_dict(circuit)
 
 
 def reference_element_matrix(elem, basis):

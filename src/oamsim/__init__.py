@@ -26,8 +26,6 @@ from .hilbert import (
     mode,
     parity,
     parity_marginals,
-    state_from_json,
-    state_to_json,
 )
 from .elements import (
     Circuit,
@@ -40,7 +38,6 @@ from .elements import (
     build_s2_setup,
     build_s3_setup,
     build_sorter,
-    circuit_from_dict,
     circuit_to_dict,
     circuit_unitary,
     coincidence_detect,

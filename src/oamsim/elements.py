@@ -68,7 +68,6 @@ __all__ = [
     "circuit_unitary",
     "dense_apply",
     "circuit_to_dict",
-    "circuit_from_dict",
 ]
 
 WRAP_GUARD = 1e-9
@@ -375,22 +374,10 @@ def detect(state: PhotonState, path: str) -> float:
     return state.path_probability(path)
 
 
-def coincidence_detect(state: TwoPhotonState, path1: str, path2: str,
-                       return_state: bool = False):
-    """Joint probability of photon 1 at path1 and photon 2 at path2.
-
-    With return_state=True also returns the renormalized post-detection
-    state (None when the probability vanishes), for conditional chaining.
-    """
-    kept = {key: amp for key, amp in state.amplitudes.items()
-            if key[0].path == path1 and key[1].path == path2}
-    prob = float(sum(abs(a) ** 2 for a in kept.values()))
-    if not return_state:
-        return prob
-    if prob <= 0.0:
-        return prob, None
-    post = TwoPhotonState(kept, state.truncation).normalized()
-    return prob, post
+def coincidence_detect(state: TwoPhotonState, path1: str, path2: str) -> float:
+    """Joint probability of photon 1 at path1 and photon 2 at path2."""
+    return float(sum(abs(amp) ** 2 for key, amp in state.amplitudes.items()
+                     if key[0].path == path1 and key[1].path == path2))
 
 
 def readout(circuit: Circuit, state: PhotonState,
@@ -571,20 +558,11 @@ def dense_apply(circuit: Circuit, state, slot="both"):
 
 
 # ---------------------------------------------------------------------------
-# Circuit descriptions (JSON)
-
-_FACTORIES = {
-    "bs": lambda d: beam_splitter(*d["in"], *d["out"], t=d["params"].get("t", 1 / math.sqrt(2))),
-    "pbs": lambda d: polarizing_bs(*d["in"], *d["out"]),
-    "dove": lambda d: dove_prism(d["in"][0], d["params"]["alpha"]),
-    "spp": lambda d: spiral_phase_plate(d["in"][0], d["params"]["q"]),
-    "hwp": lambda d: half_wave_plate(d["in"][0], d["params"]["theta"]),
-    "phase": lambda d: phase_delay(d["in"][0], d["params"]["phi"]),
-    "mirror": lambda d: mirror(d["in"][0], d["out"][0]),
-}
+# Circuit descriptions
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:
+    """JSON-ready description of a circuit; output only, nothing reads it back."""
     return {
         "name": circuit.name,
         "input": circuit.input_path,
@@ -595,20 +573,3 @@ def circuit_to_dict(circuit: Circuit) -> dict:
             for e in circuit.elements
         ],
     }
-
-
-def circuit_from_dict(d: Mapping) -> Circuit:
-    elems = []
-    for ed in d["elements"]:
-        kind = ed["kind"]
-        if kind not in _FACTORIES:
-            raise ValueError(f"unknown element kind {kind!r}")
-        ed = {"in": ed["in"], "out": ed.get("out", ed["in"]),
-              "params": ed.get("params", {}), "kind": kind}
-        elems.append(_FACTORIES[kind](ed))
-    return Circuit(
-        name=str(d.get("name", "circuit")),
-        elements=tuple(elems),
-        input_path=str(d["input"]),
-        detector_paths=tuple(d["detectors"]),
-    )

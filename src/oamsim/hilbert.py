@@ -11,21 +11,17 @@ so instances are safe to share read-only across threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .jsonfmt import dumps
-
 __all__ = [
     "H",
     "V",
     "EVEN",
     "ODD",
-    "NORM_TOL",
     "NORM_CHECK_TOL",
     "PRUNE_EPS",
     "DENSE_BYTES_LIMIT",
@@ -48,9 +44,6 @@ __all__ = [
     "SpectrumModel",
     "ModeBasis",
     "state_to_records",
-    "state_to_json",
-    "state_from_records",
-    "state_from_json",
 ]
 
 H = "H"
@@ -60,7 +53,6 @@ POLARIZATIONS = (H, V)
 EVEN = "even"
 ODD = "odd"
 
-NORM_TOL = 1e-12        # norm deviation allowed after normalize()
 NORM_CHECK_TOL = 1e-9   # how well-normalized an input must be for measurements
 PRUNE_EPS = 1e-15       # amplitudes below this magnitude may be dropped
 DENSE_BYTES_LIMIT = 256 * 2 ** 20  # one n x n complex128 matrix of the oracle
@@ -467,7 +459,7 @@ class ModeBasis:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization of states
+# State records (the `state` report)
 
 
 def _key_record(key: ModeKey) -> dict:
@@ -490,32 +482,3 @@ def state_to_records(state) -> list[dict]:
     else:
         raise TypeError(f"cannot serialize {type(state).__name__}")
     return records
-
-
-def state_to_json(state) -> str:
-    """Canonical JSON text for a state; floats carry 17 significant digits."""
-    return dumps(state_to_records(state))
-
-
-def _record_key(rec: Mapping) -> ModeKey:
-    return mode(int(rec["m"]), str(rec["pol"]), str(rec["path"]))
-
-
-def state_from_records(records, truncation: int):
-    """Rebuild a PhotonState or TwoPhotonState from serialized records."""
-    if not records:
-        raise ValueError("empty state record list")
-    if "photon1" in records[0]:
-        amps2 = {}
-        for rec in records:
-            key = (_record_key(rec["photon1"]), _record_key(rec["photon2"]))
-            amps2[key] = complex(float(rec["re"]), float(rec.get("im", 0.0)))
-        return TwoPhotonState(amps2, truncation)
-    amps = {}
-    for rec in records:
-        amps[_record_key(rec)] = complex(float(rec["re"]), float(rec.get("im", 0.0)))
-    return PhotonState(amps, truncation)
-
-
-def state_from_json(text: str, truncation: int):
-    return state_from_records(json.loads(text), truncation)

@@ -71,23 +71,6 @@ class SourceSpec:
         if self.truncation < 1:
             raise ValueError("truncation band must satisfy K >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "pump_order": self.pump_order,
-            "spectrum": self.spectrum.to_dict(),
-            "polarization_mode": self.polarization_mode,
-            "truncation": self.truncation,
-        }
-
-    @staticmethod
-    def from_dict(d) -> "SourceSpec":
-        return SourceSpec(
-            pump_order=int(d["pump_order"]),
-            spectrum=SpectrumModel.from_dict(d["spectrum"]),
-            polarization_mode=str(d.get("polarization_mode", PRODUCT_HH)),
-            truncation=int(d.get("truncation", 8)),
-        )
-
 
 def source_band(truncation: int) -> int:
     """Largest |m| a source populates; leaves spiral-plate headroom."""

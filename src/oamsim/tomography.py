@@ -45,9 +45,6 @@ class StokesVector:
     s2: float
     s3: float
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.s0, self.s1, self.s2, self.s3)
-
 
 @dataclass(frozen=True, eq=False)
 class QubitDensity:

@@ -99,6 +99,13 @@ class ValidationError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors become validation errors, so they are reported as JSON."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _emit(obj) -> None:
     sys.stdout.write(dumps(obj) + "\n")
 
@@ -392,7 +399,7 @@ _HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oamsim",
         description="Even/odd OAM photonic qubit experiments",
     )
@@ -485,25 +492,23 @@ def _fill_defaults(args) -> None:
         raise ValidationError(f"unsupported output format {args.format!r}")
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+def _report(argv) -> dict:
+    args = build_parser().parse_args(argv)
     if args.schema:
-        _emit(REPORT_SCHEMA)
-        return EXIT_OK
+        return REPORT_SCHEMA
     if args.circuit:
-        _emit(circuit_to_dict(BUILTIN_CIRCUITS[args.circuit]()))
-        return EXIT_OK
+        return circuit_to_dict(BUILTIN_CIRCUITS[args.circuit]())
     if not args.command:
-        _emit({"error": {"code": "validation",
-                         "message": "no command given (see --help)"}})
-        return EXIT_VALIDATION
+        raise ValidationError("no command given (see --help)")
+    _fill_defaults(args)
+    return _HANDLERS[args.command](args)
+
+
+def main(argv=None) -> int:
     try:
-        _fill_defaults(args)
-        report = _HANDLERS[args.command](args)
+        report = _report(argv)
+    except SystemExit as exc:  # --help has printed its text
+        return int(exc.code or 0)
     except (WrapGuardError, TruncationError) as exc:
         _emit({"error": {"code": "guard", "message": str(exc)}})
         return EXIT_GUARD

@@ -197,6 +197,12 @@ class TestCliContract:
         assert code == 2
         assert report["error"]["code"] == "validation"
 
+    @pytest.mark.parametrize("argv", [("--help",), ("bell", "-h")])
+    def test_help_keeps_its_text(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: oamsim")
+
     def test_malformed_state_json(self, capsys):
         code, report = run_json(capsys, "tomography", "--state", "{broken")
         assert code == 2

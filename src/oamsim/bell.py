@@ -33,6 +33,7 @@ __all__ = [
     "EKERT_ROUNDS_LIMIT",
     "ekert_run",
     "task_rng",
+    "SHOTS_LIMIT",
     "sample_counts",
 ]
 
@@ -59,10 +60,16 @@ def task_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
+# The multinomial takes its draw count as a C long.
+SHOTS_LIMIT = int(np.iinfo(np.dtype("l")).max)
+
+
 def sample_counts(probs, shots: int, seed: int | None, *key: int) -> np.ndarray:
     """One multinomial draw of `shots` over the cleaned probabilities."""
     if seed is None:
         raise ValueError("sampled mode requires a seed")
+    if shots > SHOTS_LIMIT:
+        raise ValueError(f"shots {shots} exceeds limit {SHOTS_LIMIT}")
     return task_rng(seed, *key).multinomial(int(shots), _clean_probs(probs))
 
 

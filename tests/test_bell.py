@@ -7,6 +7,7 @@ import pytest
 from oamsim.bell import (
     EKERT_BYTES_PER_ROUND,
     EKERT_ROUNDS_LIMIT,
+    SHOTS_LIMIT,
     CoincidenceTable,
     ProjectionSetting,
     TSIRELSON,
@@ -266,3 +267,10 @@ def test_sample_counts_is_one_seeded_multinomial_over_cleaned_probs():
     assert np.array_equal(counts, expected)
     with pytest.raises(ValueError, match="requires a seed"):
         sample_counts(probs, 10, None, 2)
+
+
+def test_sample_counts_takes_shots_up_to_the_c_long_limit():
+    counts = sample_counts([0.5, 0.5], SHOTS_LIMIT, 1, 2)
+    assert int(counts.sum()) == SHOTS_LIMIT
+    with pytest.raises(ValueError, match="exceeds limit"):
+        sample_counts([0.5, 0.5], SHOTS_LIMIT + 1, 1, 2)

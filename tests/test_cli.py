@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oamsim.bell import SHOTS_LIMIT
 from oamsim.cli import REPORT_SCHEMA, main
 
 
@@ -347,6 +348,18 @@ class TestMalformedInput:
 
     def test_too_many_ekert_rounds(self, capsys):
         assert_one_json_error(capsys, ("ekert", "--rounds", str(10 ** 12), "--seed", "1"))
+
+    @pytest.mark.parametrize("argv", [("sorter", "--m", "1"), BELL_ARGS,
+                                      ("soba", "--state", "psi+"),
+                                      ("densecode", "--message", "01")])
+    def test_shots_above_the_limit(self, capsys, argv):
+        assert_one_json_error(capsys, (*argv, "--shots", str(SHOTS_LIMIT + 1), "--seed", "1"))
+
+    def test_shots_above_the_limit_in_config(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"shots": SHOTS_LIMIT + 1, "seed": 1}))
+        monkeypatch.setenv("OAMSIM_CONFIG", str(cfg))
+        assert_one_json_error(capsys, ("sorter", "--m", "1"))
 
     @pytest.mark.parametrize("argv", [
         ("sorter", "--state", '{"terms":[{"m":0,"re":"nan"},{"m":1,"re":1}]}'),

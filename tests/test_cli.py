@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oamsim.bell import SHOTS_LIMIT
-from oamsim.cli import REPORT_SCHEMA, main
+from oamsim.cli import REPORT_SCHEMA, TRUNCATION_LIMIT, main
 
 
 def run_cli(capsys, *argv):
@@ -355,6 +355,18 @@ class TestMalformedInput:
     def test_shots_above_the_limit(self, capsys, argv):
         assert_one_json_error(capsys, (*argv, "--shots", str(SHOTS_LIMIT + 1), "--seed", "1"))
 
+    def test_truncation_above_the_limit(self, capsys):
+        assert_one_json_error(capsys, (*BELL_ARGS, "-K", "10000000"))
+        assert_one_json_error(capsys, ("sorter", "--m", "1", "-K", str(TRUNCATION_LIMIT + 1)))
+        code, _ = run_json(capsys, "sorter", "--m", "1", "-K", str(TRUNCATION_LIMIT))
+        assert code == 0
+
+    def test_truncation_above_the_limit_in_config(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"truncation": 10 ** 7}))
+        monkeypatch.setenv("OAMSIM_CONFIG", str(cfg))
+        assert_one_json_error(capsys, BELL_ARGS)
+
     def test_shots_above_the_limit_in_config(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "defaults.json"
         cfg.write_text(json.dumps({"shots": SHOTS_LIMIT + 1, "seed": 1}))
@@ -461,3 +473,4 @@ class TestStatePayloadProperty:
             assert sum(probs) == pytest.approx(1.0, abs=1e-9)
         else:
             assert code == 2 and report["error"]["code"] == "validation"
+

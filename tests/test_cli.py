@@ -474,3 +474,63 @@ class TestStatePayloadProperty:
         else:
             assert code == 2 and report["error"]["code"] == "validation"
 
+
+# Tokens an argv may carry: valid and invalid numbers, huge integers, string
+# option values, unknown and abbreviated flags.  No token is a prefix of
+# --help, which prints usage text instead of a report.
+_NUMBERS = ["0", "1", "-1", "3", "8", "45", "2.5", "1e308", "nan", "-inf", "abc",
+            "9223372036854775807", "9223372036854775808", "99999999999999999999",
+            "10000000"]
+_WORDS = ["psi+", "phi-", "01", "json", "xml", "hyper", "bell", "polarization",
+          "gaussian:2", "gaussian:0", "canonical", '{"coeffs":[[0,1],[1,1]]}',
+          '{"terms":[{"m":0,"re":1}]}', "{"]
+_FLAGS = ["-K", "--truncation", "--spectrum", "--shots", "--seed", "--format", "--m",
+          "--state", "--theta", "--theta2", "--chi", "--chi2", "--variant", "--rounds",
+          "--message", "--kind", "--pump", "--pol", "--label", "--thet", "--sho",
+          "--bogus", "-x"]
+# Options that make a valid report of each command; each is left out one
+# time in four, so missing required options are drawn too.
+_REQUIRED = {
+    "state": (),
+    "sorter": (("--m", "1"),),
+    "tomography": (("--state", "psi+"),),
+    "bell": (("--theta", "0"), ("--theta2", "45"), ("--chi", "22.5"), ("--chi2", "67.5")),
+    "ekert": (("--rounds", "100"), ("--seed", "1")),
+    "soba": (("--state", "phi-"),),
+    "densecode": (("--message", "01"),),
+    "bogus": (),
+}
+
+
+@st.composite
+def _argvs(draw):
+    argv = list(draw(st.sampled_from([(), (), (), ("--schema",), ("--circuit", "soba"),
+                                      ("--circuit", "prism")])))
+    command = draw(st.sampled_from([*_REQUIRED, None]))
+    if command is None:
+        return argv
+    argv.append(command)
+    for pair in _REQUIRED[command]:
+        if draw(st.integers(0, 3)):
+            argv.extend(pair)
+    common = st.tuples(st.sampled_from(["-K", "--shots", "--seed"]), st.sampled_from(_NUMBERS))
+    other = st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_NUMBERS + _WORDS))
+    for pair in draw(st.lists(st.one_of(common, common, other), max_size=3)):
+        argv.extend(pair)
+    argv.extend(draw(st.lists(st.sampled_from(_FLAGS + _NUMBERS), max_size=1)))
+    return argv
+
+
+class TestArgvProperty:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_argvs())
+    def test_one_json_object_and_a_documented_exit_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        assert isinstance(json.loads(lines[0]), dict)
+        assert err.getvalue() == ""
+        assert code in (0, 2, 3)

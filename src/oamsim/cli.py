@@ -59,9 +59,9 @@ EXIT_GUARD = 3
 CONFIG_ENV = "OAMSIM_CONFIG"
 
 # Peak bytes per unit of K of the largest structure any command builds, that
-# of `bell --variant polarization` (tracemalloc: 13.9 kB at K=1000 and
-# 17.6 kB at K=8000, growing slowly with K), rounded up.  K is bounded by the
-# same memory budget as the dense oracle.
+# of `bell --variant polarization` (tracemalloc, one fresh process per run:
+# 13.9 kB at K=1000, 17.6 kB at K=8000 and 17.4 kB at the limit), rounded
+# up.  K is bounded by the same memory budget as the dense oracle.
 TRUNCATION_BYTES_PER_K = 20_000
 TRUNCATION_LIMIT = DENSE_BYTES_LIMIT // TRUNCATION_BYTES_PER_K
 

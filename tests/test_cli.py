@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oamsim.bell import SHOTS_LIMIT
-from oamsim.cli import REPORT_SCHEMA, TRUNCATION_LIMIT, main
+from oamsim.cli import BUILTIN_CIRCUITS, REPORT_SCHEMA, TRUNCATION_LIMIT, main
+from oamsim.elements import circuit_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -224,9 +225,6 @@ class TestCliContract:
 
     @pytest.mark.parametrize("name", ["sorter", "s2_setup", "s3_setup", "soba"])
     def test_builtin_circuits_shipped(self, capsys, name):
-        from oamsim.cli import BUILTIN_CIRCUITS
-        from oamsim.elements import circuit_to_dict
-
         code, out = run_cli(capsys, "--circuit", name)
         assert code == 0
         desc = json.loads(out)
@@ -361,17 +359,13 @@ class TestMalformedInput:
         code, _ = run_json(capsys, "sorter", "--m", "1", "-K", str(TRUNCATION_LIMIT))
         assert code == 0
 
-    def test_truncation_above_the_limit_in_config(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("config", [{"truncation": 10 ** 7},
+                                        {"shots": SHOTS_LIMIT + 1, "seed": 1}])
+    def test_limits_apply_to_config(self, capsys, tmp_path, monkeypatch, config):
         cfg = tmp_path / "defaults.json"
-        cfg.write_text(json.dumps({"truncation": 10 ** 7}))
+        cfg.write_text(json.dumps(config))
         monkeypatch.setenv("OAMSIM_CONFIG", str(cfg))
         assert_one_json_error(capsys, BELL_ARGS)
-
-    def test_shots_above_the_limit_in_config(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "defaults.json"
-        cfg.write_text(json.dumps({"shots": SHOTS_LIMIT + 1, "seed": 1}))
-        monkeypatch.setenv("OAMSIM_CONFIG", str(cfg))
-        assert_one_json_error(capsys, ("sorter", "--m", "1"))
 
     @pytest.mark.parametrize("argv", [
         ("sorter", "--state", '{"terms":[{"m":0,"re":"nan"},{"m":1,"re":1}]}'),

@@ -303,13 +303,15 @@ def _apply_pass(elem: Element, amps: dict, truncation: int, idx, wrap_guard) -> 
     return out
 
 
-def _evolve(elements, state, slot, wrap_guard, prune: bool):
+def _evolve(elements, state, slot, wrap_guard):
     """Apply `elements` in order to the raw amplitudes of `state`.
 
     Between elements the amplitudes are cleaned exactly as the state
-    constructor cleans them (band check, zero and PRUNE_EPS drops, signed
-    zeros cleared); the constructor at the end cleans after the last one.
-    So the result equals building a state after every element, bit for bit.
+    constructor cleans them (zero and PRUNE_EPS drops, signed zeros cleared);
+    the constructor at the end cleans after the last one.  So the result
+    equals building a state after every element, bit for bit.  The band is
+    checked once, on the output: every key a pass writes is in band, since
+    only `spp` and the gates change m and `_wrap_m` wraps it.
     """
     if isinstance(state, PhotonState):
         idxs = (None,)
@@ -323,16 +325,15 @@ def _evolve(elements, state, slot, wrap_guard, prune: bool):
     amps = state.amplitudes
     for n, elem in enumerate(elements):
         if n:
-            amps = _clean_amplitudes(amps.items(), k, prune, state._check)
+            amps = _clean_amplitudes(amps.items())
         for idx in idxs:
             amps = _apply_pass(elem, amps, k, idx, wrap_guard)
-    return type(state)(amps, k, prune=prune)
+    return type(state)(amps, k)
 
 
-def apply_element(elem: Element, state, slot="both", wrap_guard=WRAP_GUARD,
-                  prune: bool = True):
+def apply_element(elem: Element, state, slot="both", wrap_guard=WRAP_GUARD):
     """Apply one element; only the addressed photon slot is transformed."""
-    return _evolve((elem,), state, slot, wrap_guard, prune)
+    return _evolve((elem,), state, slot, wrap_guard)
 
 
 @dataclass(frozen=True)
@@ -358,9 +359,8 @@ class Circuit:
         return tuple(seen)
 
 
-def apply_circuit(circuit: Circuit, state, slot="both", wrap_guard=WRAP_GUARD,
-                  prune: bool = True):
-    return _evolve(circuit.elements, state, slot, wrap_guard, prune)
+def apply_circuit(circuit: Circuit, state, slot="both", wrap_guard=WRAP_GUARD):
+    return _evolve(circuit.elements, state, slot, wrap_guard)
 
 
 def detect(state: PhotonState, path: str) -> float:
@@ -371,7 +371,7 @@ def detect(state: PhotonState, path: str) -> float:
     """
     if not isinstance(path, str):
         raise TypeError(f"path label must be a string, got {path!r}")
-    return state.path_probability(path)
+    return float(sum(abs(a) ** 2 for k, a in state.amplitudes.items() if k.path == path))
 
 
 def coincidence_detect(state: TwoPhotonState, path1: str, path2: str) -> float:

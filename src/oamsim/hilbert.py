@@ -54,7 +54,7 @@ EVEN = "even"
 ODD = "odd"
 
 NORM_CHECK_TOL = 1e-9   # how well-normalized an input must be for measurements
-PRUNE_EPS = 1e-15       # amplitudes below this magnitude may be dropped
+PRUNE_EPS = 1e-15       # amplitudes below this magnitude are dropped
 DENSE_BYTES_LIMIT = 256 * 2 ** 20  # one n x n complex128 matrix of the oracle
 DENSE_DIM_LIMIT = math.isqrt(DENSE_BYTES_LIMIT // np.dtype(complex).itemsize)
 # Largest input amplitude magnitude: squares summed over fewer than 1e8 modes
@@ -131,14 +131,13 @@ def mode(m: int, pol: str = H, path: str = "in") -> ModeKey:
     return ModeKey(str(path), pol, int(m))
 
 
-def _clean_amplitudes(items, truncation: int, prune: bool, check):
+def _clean_amplitudes(items) -> dict:
+    """Drop zero and below-PRUNE_EPS amplitudes and clear signed zeros."""
     amps = {}
     for key, value in items:
-        check(key, truncation)
         z = complex(value)
-        if z == 0.0 or (prune and abs(z) < PRUNE_EPS):
-            continue
-        amps[key] = 0j + z  # keys of a mapping are unique; 0j + z clears -0.0
+        if not abs(z) < PRUNE_EPS:
+            amps[key] = 0j + z  # keys of a mapping are unique; 0j + z clears -0.0
     return amps
 
 
@@ -161,11 +160,13 @@ class _SparseState:
 
     __slots__ = ("amplitudes", "truncation")
 
-    def __init__(self, amplitudes: Mapping, truncation: int, prune: bool = True):
+    def __init__(self, amplitudes: Mapping, truncation: int):
         k = int(truncation)
         if k < 1:
             raise TruncationError("truncation band must satisfy K >= 1")
-        self.amplitudes = _clean_amplitudes(amplitudes.items(), k, prune, self._check)
+        for key in amplitudes:
+            self._check(key, k)
+        self.amplitudes = _clean_amplitudes(amplitudes.items())
         self.truncation = k
 
     def items(self) -> Iterator[tuple]:
@@ -213,14 +214,6 @@ class PhotonState(_SparseState):
                  pol: str = H, path: str = "in") -> "PhotonState":
         """Build a state from OAM coefficients on a single path/polarization."""
         return cls({mode(m, pol, path): c for m, c in coeffs.items()}, truncation)
-
-    def scaled(self, factor: complex) -> "PhotonState":
-        return PhotonState({k: a * factor for k, a in self.amplitudes.items()},
-                           self.truncation, prune=False)
-
-    def path_probability(self, path: str) -> float:
-        return float(sum(abs(a) ** 2 for k, a in self.amplitudes.items()
-                         if k.path == path))
 
     def modes(self) -> Iterator[ModeKey]:
         """Every occupied mode."""
@@ -440,9 +433,9 @@ class ModeBasis:
             vec[self._index[key]] = amp
         return vec
 
-    def from_vector(self, vec: np.ndarray, prune: bool = True) -> PhotonState:
+    def from_vector(self, vec: np.ndarray) -> PhotonState:
         amps = {self._keys[i]: vec[i] for i in np.flatnonzero(np.abs(vec) > 0.0)}
-        return PhotonState(amps, self.truncation, prune=prune)
+        return PhotonState(amps, self.truncation)
 
     def to_matrix(self, state: TwoPhotonState) -> np.ndarray:
         mat = np.zeros((self.size, self.size), dtype=complex)
@@ -450,12 +443,12 @@ class ModeBasis:
             mat[self._index[k1], self._index[k2]] = amp
         return mat
 
-    def from_matrix(self, mat: np.ndarray, prune: bool = True) -> TwoPhotonState:
+    def from_matrix(self, mat: np.ndarray) -> TwoPhotonState:
         amps = {}
         rows, cols = np.nonzero(np.abs(mat) > 0.0)
         for r, c in zip(rows, cols):
             amps[(self._keys[r], self._keys[c])] = mat[r, c]
-        return TwoPhotonState(amps, self.truncation, prune=prune)
+        return TwoPhotonState(amps, self.truncation)
 
 
 # ---------------------------------------------------------------------------

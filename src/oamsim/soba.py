@@ -21,7 +21,6 @@ from .bell import sample_counts
 from .elements import (
     Circuit,
     Element,
-    WRAP_GUARD,
     apply_element,
     beam_splitter,
     half_wave_plate,
@@ -70,7 +69,7 @@ def normalize_polarization_label(label: str) -> str:
     return label
 
 
-def _gate(kind: str, state, slot: int, wrap_guard):
+def _gate(kind: str, state, slot: int):
     """Gate element on every path the addressed photon occupies."""
     if isinstance(state, TwoPhotonState):
         if slot not in (1, 2):
@@ -80,18 +79,17 @@ def _gate(kind: str, state, slot: int, wrap_guard):
         paths = state.paths()
     else:
         raise TypeError(f"cannot apply gate to {type(state).__name__}")
-    return apply_element(Element(kind, paths, paths), state, slot=slot,
-                         wrap_guard=wrap_guard)
+    return apply_element(Element(kind, paths, paths), state, slot=slot)
 
 
-def oc_p_gate(state, slot: int = 1, wrap_guard=WRAP_GUARD):
+def oc_p_gate(state, slot: int = 1):
     """OAM-parity controlled polarization NOT (flips parity alongside)."""
-    return _gate("oc_p", state, slot, wrap_guard)
+    return _gate("oc_p", state, slot)
 
 
-def pc_o_gate(state, slot: int = 1, wrap_guard=WRAP_GUARD):
+def pc_o_gate(state, slot: int = 1):
     """Polarization-controlled parity NOT: V triggers an order +1 spiral shift."""
-    return _gate("pc_o", state, slot, wrap_guard)
+    return _gate("pc_o", state, slot)
 
 
 @functools.cache
@@ -114,19 +112,19 @@ def build_soba() -> Circuit:
 _CANONICAL_MS = (0, 1)
 
 
-def soba_route(state: PhotonState, wrap_guard=WRAP_GUARD) -> dict[str, float]:
+def soba_route(state: PhotonState) -> dict[str, float]:
     """Detector probabilities for a single photon entering the analyzer."""
     for key in state.amplitudes:
         if key.path != "in" or key.m not in _CANONICAL_MS:
             raise ValueError(
                 "analyzer input must live on path 'in' with m in {0, 1}")
-    return readout(build_soba(), state, wrap_guard)
+    return readout(build_soba(), state)
 
 
-def joint_soba(state: TwoPhotonState, wrap_guard=WRAP_GUARD) -> dict[tuple[str, str], float]:
+def joint_soba(state: TwoPhotonState) -> dict[tuple[str, str], float]:
     """Coincidence probabilities of local analyzers on both photons."""
     circuit = build_soba()
-    return joint_readout(circuit, circuit, state, wrap_guard)
+    return joint_readout(circuit, circuit, state)
 
 
 def encode_polarization_bell(s: TwoPhotonState, label: str) -> TwoPhotonState:

@@ -5,8 +5,11 @@ effective configuration, and the results; identical (command, config, seed)
 invocations produce byte-identical output.  Angles are accepted in degrees
 and converted once at this boundary.
 
-Exit codes: 0 success, 2 validation error, 3 guard error from the core
-(e.g. weight pushed across the truncation band edge).
+Exit codes: 0 success, 2 validation error (including a `tomography --csv`
+path that cannot be written), 3 guard error from the core (e.g. weight
+pushed across the truncation band edge), 4 internal error: any other
+exception while building or serializing a report, printed as
+{"error": {"code": "internal", "message": "<type>: <text>"}}.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .sources import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 CONFIG_ENV = "OAMSIM_CONFIG"
 
@@ -112,10 +116,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")
-
-
-def _emit(obj) -> None:
-    sys.stdout.write(dumps(obj) + "\n")
 
 
 def _env_defaults() -> dict:
@@ -297,13 +297,16 @@ def _cmd_tomography(args) -> dict:
     if qubit is not None:
         report["fidelity"] = tomography.fidelity(density, qubit)
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("setup", "port", "intensity"))
-            for setup, values in intensities.items():
-                ports = BUILTIN_CIRCUITS[setup]().detector_paths
-                for port, intensity in zip(ports, values):
-                    writer.writerow((setup, port, format_float(float(intensity))))
+        try:
+            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(("setup", "port", "intensity"))
+                for setup, values in intensities.items():
+                    ports = BUILTIN_CIRCUITS[setup]().detector_paths
+                    for port, intensity in zip(ports, values):
+                        writer.writerow((setup, port, format_float(float(intensity))))
+        except OSError as exc:
+            raise ValidationError(f"cannot write csv file {args.csv!r}: {exc}") from exc
         report["csv"] = args.csv
     return report
 
@@ -514,18 +517,31 @@ def _report(argv) -> dict:
     return _HANDLERS[args.command](args)
 
 
+def _error(code: str, message: str, status: int) -> int:
+    sys.stdout.write(dumps({"error": {"code": code, "message": message}}) + "\n")
+    return status
+
+
+def _internal(exc: Exception) -> int:
+    return _error("internal", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
+
+
 def main(argv=None) -> int:
     try:
         report = _report(argv)
     except SystemExit as exc:  # --help has printed its text
         return int(exc.code or 0)
     except (WrapGuardError, TruncationError) as exc:
-        _emit({"error": {"code": "guard", "message": str(exc)}})
-        return EXIT_GUARD
+        return _error("guard", str(exc), EXIT_GUARD)
     except ValueError as exc:
-        _emit({"error": {"code": "validation", "message": str(exc)}})
-        return EXIT_VALIDATION
-    _emit(report)
+        return _error("validation", str(exc), EXIT_VALIDATION)
+    except Exception as exc:
+        return _internal(exc)
+    try:
+        text = dumps(report)
+    except Exception as exc:  # jsonfmt's ValueError too: the report is at fault
+        return _internal(exc)
+    sys.stdout.write(text + "\n")
     return EXIT_OK
 
 

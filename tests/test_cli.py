@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oamsim.bell import SHOTS_LIMIT
-from oamsim.cli import BUILTIN_CIRCUITS, REPORT_SCHEMA, TRUNCATION_LIMIT, main
+from oamsim import cli
+from oamsim.cli import BUILTIN_CIRCUITS, EXIT_INTERNAL, REPORT_SCHEMA, TRUNCATION_LIMIT, main
 from oamsim.elements import circuit_to_dict
 
 
@@ -107,6 +108,13 @@ class TestTomographyCommand:
         assert lines[0] == "setup,port,intensity"
         assert len(lines) == 7
 
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing_dir", "dir"])
+    def test_csv_path_that_cannot_be_written(self, capsys, tmp_path, target):
+        path = str(tmp_path / target)
+        error = assert_one_json_error(capsys, ("tomography", "--state",
+                                               '{"coeffs":[[0,1.0]]}', "--csv", path))
+        assert error["code"] == "validation" and repr(path) in error["message"]
+
     def test_band_edge_state_hits_guard(self, capsys):
         code, report = run_json(capsys, "tomography", "--state",
                                 '{"coeffs":[[8,1.0]]}', "-K", "8")
@@ -188,6 +196,10 @@ class TestStateCommand:
                                 "-K", "4")
         assert code == 0
         assert report["out_of_band_weight"] > 0.0
+
+
+def _raise_boom(args):
+    raise RuntimeError("boom")
 
 
 class TestCliContract:
@@ -283,6 +295,17 @@ class TestCliContract:
         code, report = run_json(capsys, "state", "--kind", "spdc", "-K", "3")
         assert report["config"]["truncation"] == 3
 
+    @pytest.mark.parametrize("handler, message", [
+        (_raise_boom, "RuntimeError: boom"),
+        (lambda args: {"command": "sorter", "config": {}, "x": math.nan},
+         "ValueError: cannot serialize non-finite float"),
+    ], ids=["raises", "nan_in_report"])
+    def test_other_exceptions_are_internal_errors(self, capsys, monkeypatch,
+                                                  handler, message):
+        monkeypatch.setitem(cli._HANDLERS, "sorter", handler)
+        error = assert_one_json_error(capsys, ("sorter", "--m", "1"), code=EXIT_INTERNAL)
+        assert error == {"code": "internal", "message": message}
+
     def test_seed_recorded_in_config(self, capsys):
         code, report = run_json(capsys, "densecode", "--message", "00",
                                 "--shots", "100", "--seed", "31")
@@ -293,13 +316,15 @@ class TestCliContract:
 BELL_ARGS = ("bell", "--theta", "0", "--theta2", "45", "--chi", "22.5", "--chi2", "67.5")
 
 
-def assert_one_json_error(capsys, argv):
-    assert main(list(argv)) == 2
+def assert_one_json_error(capsys, argv, code=2):
+    assert main(list(argv)) == code
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     assert len(lines) == 1
-    assert set(json.loads(lines[0])) == {"error"}
+    report = json.loads(lines[0])
+    assert set(report) == {"error"}
     assert captured.err == ""
+    return report["error"]
 
 
 class TestMalformedInput:

@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oamsim import elements
 from oamsim.elements import (
@@ -558,3 +560,84 @@ class TestDenseOracle:
             element_matrix(elem, basis)
         with pytest.raises(ValueError):
             circuit_unitary(Circuit("bad", (elem,), "p0", ()), 1)
+
+
+class TestBandInvariant:
+    """No element writes a key outside the band, so _evolve checks the band
+    only on its output."""
+
+    @pytest.mark.parametrize("truncation", [1, 2, 3])
+    def test_every_target_of_every_in_band_mode_is_in_band(self, truncation):
+        k = truncation
+        plates = [spiral_phase_plate("p0", q)
+                  for q in (1, -1, 2, -2, 2 * k + 1, -(2 * k + 1), 10 ** 6)]
+        targets = 0
+        for elem in (*ONE_OF_EACH_KIND, *plates):
+            basis = ModeBasis(elem.paths(), k)
+            for i in range(basis.size):
+                for key, _, _ in _key_action(elem, basis.key_at(i), k):
+                    assert abs(key.m) <= k, (elem, basis.key_at(i), key)
+                    targets += 1
+        assert targets >= sum(ModeBasis(e.paths(), k).size for e in ONE_OF_EACH_KIND)
+
+
+_KINDS = ("bs", "pbs", "dove", "spp", "hwp", "phase", "mirror", "oc_p", "pc_o")
+_ANGLES = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2]),
+                    st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _elements(draw):
+    kind = draw(st.sampled_from(_KINDS))
+    paths = tuple(draw(st.permutations(pool_paths())))
+    if kind == "bs":
+        t = draw(st.one_of(st.sampled_from([0.0, 1.0, SQ2]), st.floats(0.0, 1.0)))
+        return beam_splitter(*paths[:4], t=t)
+    if kind == "pbs":
+        return polarizing_bs(*paths[:4])
+    if kind == "mirror":
+        return mirror(*paths[:2])
+    if kind in ("oc_p", "pc_o"):
+        gate_paths = paths[:draw(st.integers(1, 2))]
+        return Element(kind, gate_paths, gate_paths)
+    if kind == "spp":
+        q = draw(st.one_of(st.sampled_from([0, 10 ** 6, -10 ** 6]), st.integers(-7, 7)))
+        return spiral_phase_plate(paths[0], q)
+    factory = {"dove": dove_prism, "hwp": half_wave_plate, "phase": phase_delay}[kind]
+    return factory(paths[0], draw(_ANGLES))
+
+
+def random_entangled_pair(rng, truncation, n_terms=16):
+    """Random pair over three pool paths; generally not a product state."""
+    keys = [mode(m, pol, p) for p in pool_paths()[:3] for pol in (H, V)
+            for m in range(-truncation, truncation + 1)]
+    amps = {}
+    for a, b in rng.integers(len(keys), size=(n_terms, 2)):
+        amps[(keys[a], keys[b])] = complex(*rng.normal(size=2))
+    return TwoPhotonState(amps, truncation).normalized()
+
+
+class TestRandomCircuitProperty:
+    """Random circuits of every kind, edge parameters included, preserve the
+    norm, and the sparse evolution equals the dense oracle."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(elems=st.lists(_elements(), min_size=1, max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1), truncation=st.integers(1, 3),
+           slot=st.sampled_from([None, 1, 2, "both"]))
+    def test_norm_preserved_and_dense_agrees(self, elems, seed, truncation, slot):
+        rng = np.random.default_rng(seed)
+        circuit = Circuit("random", tuple(elems), "p0", ())
+        if slot is None:
+            state = random_full_state(rng, truncation, paths=pool_paths()[:3])
+            sparse = apply_circuit(circuit, state, wrap_guard=None)
+            dense = dense_apply(circuit, state)
+        else:
+            state = random_entangled_pair(rng, truncation)
+            sparse = apply_circuit(circuit, state, slot=slot, wrap_guard=None)
+            dense = dense_apply(circuit, state, slot=slot)
+        assert abs(sparse.norm() - state.norm()) <= 1e-12
+        basis = ModeBasis(circuit.paths() + state.paths(), truncation)
+        convert = basis.to_vector if slot is None else basis.to_matrix
+        assert np.abs(convert(sparse) - convert(dense)).max() <= 1e-10

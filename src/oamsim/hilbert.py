@@ -136,8 +136,9 @@ def _clean_amplitudes(items) -> dict:
     amps = {}
     for key, value in items:
         z = complex(value)
-        if not abs(z) < PRUNE_EPS:
-            amps[key] = 0j + z  # keys of a mapping are unique; 0j + z clears -0.0
+        if abs(z) < PRUNE_EPS:  # zeros included; a NaN is kept, not hidden
+            continue
+        amps[key] = 0j + z  # keys of a mapping are unique; 0j + z clears -0.0
     return amps
 
 

@@ -257,6 +257,7 @@ class TestCircuits:
         pruned = apply_circuit(circuit, s)
         u, basis = circuit_unitary(circuit, 6)
         raw = u @ basis.to_vector(s)
+        assert len(pruned) < np.count_nonzero(raw)  # some amplitudes were pruned
         for port in circuit.detector_paths:
             want = sum(abs(raw[i]) ** 2 for i in range(basis.size)
                        if basis.key_at(i).path == port)

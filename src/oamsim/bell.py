@@ -20,6 +20,7 @@ from .hilbert import DENSE_BYTES_LIMIT, V, PhotonState, TwoPhotonState
 
 __all__ = [
     "TSIRELSON",
+    "TsirelsonError",
     "ALICE_KEY_ANGLES",
     "BOB_KEY_ANGLES",
     "ProjectionSetting",
@@ -38,6 +39,11 @@ __all__ = [
 ]
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
+
+
+class TsirelsonError(RuntimeError):
+    """An analytic CHSH value exceeded the quantum bound 2*sqrt(2)."""
+
 
 # Standard entanglement-based key-exchange settings: the overlapping pair of
 # angles gives key bits, the outer 2x2 block is the CHSH witness.
@@ -243,7 +249,7 @@ def chsh(s: TwoPhotonState, theta: float, theta2: float, chi: float, chi2: float
         var = sum((1.0 - ei * ei) / shots for ei in e)
         sigma = math.sqrt(var)
     elif b > TSIRELSON + 1e-9:
-        raise AssertionError(f"analytic CHSH value {b} exceeds the quantum bound")
+        raise TsirelsonError(f"analytic CHSH value {b} exceeds the quantum bound")
     e_values = {
         "E(theta,chi)": e[0],
         "E(theta,chi2)": e[1],

@@ -6,8 +6,9 @@ invocations produce byte-identical output.  Angles are accepted in degrees
 and converted once at this boundary.
 
 Exit codes: 0 success, 2 validation error (including a `tomography --csv`
-path that cannot be written), 3 guard error from the core (e.g. weight
-pushed across the truncation band edge), 4 internal error: any other
+path that cannot be written), 3 guard error from the core (weight pushed
+across the truncation band edge, or an analytic CHSH value above the
+Tsirelson bound 2*sqrt(2)), 4 internal error: any other
 exception while building or serializing a report, printed as
 {"error": {"code": "internal", "message": "<type>: <text>"}}.
 """
@@ -531,7 +532,7 @@ def main(argv=None) -> int:
         report = _report(argv)
     except SystemExit as exc:  # --help has printed its text
         return int(exc.code or 0)
-    except (WrapGuardError, TruncationError) as exc:
+    except (WrapGuardError, TruncationError, bell.TsirelsonError) as exc:
         return _error("guard", str(exc), EXIT_GUARD)
     except ValueError as exc:
         return _error("validation", str(exc), EXIT_VALIDATION)

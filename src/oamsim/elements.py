@@ -19,6 +19,13 @@ Elements and circuits are immutable; application is a pure function.  What
 an element does to each basis mode is computed once per (element, K) and
 kept in a bounded LRU (see ACTION_CACHE_SIZE); the built-in setups are built
 once per process.
+
+The dense oracle reads `_key_action` itself, never that cache.  No element
+mixes more than two modes into one, so each element is a row step on the
+dense basis, x[tgt] = f1 * x[s1] + f2 * x[s2], over the rows of the modes on
+its paths.  `circuit_unitary` steps the rows of the identity; `dense_apply`
+steps the state vector, or the rows (photon 1) and columns (photon 2) of the
+pair matrix, and forms no unitary.
 """
 
 from __future__ import annotations
@@ -497,64 +504,85 @@ def build_projection(theta: float, variant: str = "tunable_bs") -> Circuit:
 # Dense oracle
 
 
-def _element_block(elem: Element, basis: ModeBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices of the modes on the element's paths, and its block there.
+def _element_rows(elem: Element, basis: ModeBasis) -> tuple[np.ndarray, ...]:
+    """The rows of the element's unitary that differ from the identity.
 
-    Every other mode passes through unchanged, so the element's unitary is
-    the identity with this t x t block written into rows and columns `idx`.
+    Returns index and factor arrays (tgt, s1, f1, s2, f2): row tgt[r] is
+    f1[r] at column s1[r] plus f2[r] at column s2[r].  No element mixes
+    more than two modes into one, so two sources per row suffice; a row
+    with one source has s2 = s1 and f2 = 0.  The modes on the element's
+    paths are read straight from the basis, one contiguous index range per
+    path (see ModeBasis), with no local basis and no sort.
     """
-    local = ModeBasis(elem.paths(), basis.truncation)
-    block = np.zeros((local.size, local.size), dtype=complex)
-    for a in range(local.size):
-        for key, factor, _ in _key_action(elem, local.key_at(a), basis.truncation):
-            block[local.index(key), a] += factor
-    return np.array([basis.index(local.key_at(a)) for a in range(local.size)]), block
+    k = basis.truncation
+    sources: dict[int, list] = {}
+    for path in elem.paths():
+        start = basis.index(ModeKey(path, H, -k))
+        for j in range(start, start + 2 * (2 * k + 1)):
+            for key, factor, _ in _key_action(elem, basis.key_at(j), k):
+                sources.setdefault(basis.index(key), []).append((j, factor))
+    rows = []
+    for tgt, pairs in sources.items():
+        (s1, f1), (s2, f2) = pairs if len(pairs) > 1 else (pairs[0], (pairs[0][0], 0.0))
+        rows.append((tgt, s1, f1, s2, f2))
+    tgt, s1, f1, s2, f2 = zip(*rows)
+    return (np.array(tgt), np.array(s1), np.array(f1, dtype=complex),
+            np.array(s2), np.array(f2, dtype=complex))
+
+
+def _step(x: np.ndarray, rows) -> None:
+    """x[tgt] = f1 * x[s1] + f2 * x[s2] in place, for a vector or the rows of
+    a matrix: one element applied to the state it holds."""
+    tgt, s1, f1, s2, f2 = rows
+    if x.ndim == 2:
+        f1, f2 = f1[:, None], f2[:, None]
+    x[tgt] = f1 * x[s1] + f2 * x[s2]
 
 
 def element_matrix(elem: Element, basis: ModeBasis) -> np.ndarray:
-    """Materialize one element as a dense unitary on the basis."""
-    idx, block = _element_block(elem, basis)
+    """Materialize one element as a dense unitary on the basis: the identity
+    with the element's rows written in."""
     u = np.eye(basis.size, dtype=complex)
-    u[np.ix_(idx, idx)] = block
+    _step(u, _element_rows(elem, basis))
     return u
 
 
-def circuit_unitary(circuit: Circuit, truncation: int,
-                    extra_paths=()) -> tuple[np.ndarray, ModeBasis]:
-    """Dense unitary of a whole circuit, built element by element.
-
-    Each element acts only on the rows of the t modes on its own paths, so
-    its step is the row-block product u[idx] = block @ u[idx], which costs
-    t * t * n multiply-adds.
-    """
-    basis = ModeBasis(tuple(circuit.paths()) + tuple(extra_paths), truncation)
+def circuit_unitary(circuit: Circuit, truncation: int) -> tuple[np.ndarray, ModeBasis]:
+    """Dense unitary of a whole circuit: each element steps its own rows of
+    the identity, about 2 * t * n multiply-adds for t rows."""
+    basis = ModeBasis(circuit.paths(), truncation)
     u = np.eye(basis.size, dtype=complex)
     for elem in circuit.elements:
-        idx, block = _element_block(elem, basis)
-        u[idx] = block @ u[idx]
+        _step(u, _element_rows(elem, basis))
     return u, basis
 
 
 def dense_apply(circuit: Circuit, state, slot="both"):
-    """Apply a circuit through its materialized dense matrix.
+    """Apply a circuit to the state's dense vector or pair matrix, element by
+    element; no unitary is formed.
 
-    Independent verification path for the sparse evolution; the per-photon
-    dense dimension is capped at DENSE_DIM_LIMIT.
+    Independent verification path for the sparse evolution.  A pair matrix
+    holds photon 1 on its rows and photon 2 on its columns, so slot 1 steps
+    the rows of the matrix and slot 2 the rows of its transpose.  The
+    per-photon dense dimension is capped at DENSE_DIM_LIMIT.
     """
-    if isinstance(state, PhotonState):
-        u, basis = circuit_unitary(circuit, state.truncation,
-                                   extra_paths=state.paths())
-        return basis.from_vector(u @ basis.to_vector(state))
-    if isinstance(state, TwoPhotonState):
-        u, basis = circuit_unitary(circuit, state.truncation,
-                                   extra_paths=state.paths())
-        mat = basis.to_matrix(state)
-        if slot in (1, "both"):
-            mat = u @ mat
-        if slot in (2, "both"):
-            mat = mat @ u.T
-        return basis.from_matrix(mat)
-    raise TypeError(f"cannot apply circuit to {type(state).__name__}")
+    if not isinstance(state, (PhotonState, TwoPhotonState)):
+        raise TypeError(f"cannot apply circuit to {type(state).__name__}")
+    pair = isinstance(state, TwoPhotonState)
+    if pair and slot not in (1, 2, "both"):
+        raise ValueError(f"slot must be 1, 2 or 'both', got {slot!r}")
+    basis = ModeBasis(circuit.paths() + state.paths(), state.truncation)
+    if pair:
+        x = basis.to_matrix(state)
+        views = {1: (x,), 2: (x.T,), "both": (x, x.T)}[slot]
+    else:
+        x = basis.to_vector(state)
+        views = (x,)
+    for elem in circuit.elements:
+        rows = _element_rows(elem, basis)
+        for view in views:
+            _step(view, rows)
+    return basis.from_matrix(x) if pair else basis.from_vector(x)
 
 
 # ---------------------------------------------------------------------------

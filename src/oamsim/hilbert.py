@@ -397,8 +397,10 @@ class SpectrumModel:
 class ModeBasis:
     """Dense index over every (path, pol, m) mode for a fixed path set and band.
 
-    Used by the dense-matrix oracle: sparse circuit evolution must agree with
-    multiplying the materialized unitary into a dense vector.
+    Used by the dense oracle: sparse circuit evolution must agree with
+    stepping a dense vector through each element's rows.  Keys sort by
+    (path, pol, m), so each path's 2 * (2K + 1) modes are one contiguous
+    index range, starting at (path, H, -K).
     """
 
     def __init__(self, paths: Iterable[str], truncation: int):

@@ -11,6 +11,7 @@ from oamsim.bell import (
     CoincidenceTable,
     ProjectionSetting,
     TSIRELSON,
+    TsirelsonError,
     chsh,
     coincidence,
     ekert_run,
@@ -180,6 +181,12 @@ class TestCHSH:
         angles = rng.uniform(0, math.pi, size=4)
         result = chsh(state, *map(float, angles))
         assert result.b <= TSIRELSON + 1e-9
+
+    def test_analytic_value_above_the_bound_is_a_guard_error(self, monkeypatch):
+        e_values = iter([1.0, -1.0, 1.0, 1.0])  # B = 4
+        monkeypatch.setattr(CoincidenceTable, "e_value", lambda table: next(e_values))
+        with pytest.raises(TsirelsonError, match="exceeds the quantum bound"):
+            chsh(vortex_state(), *MAX_SETTINGS)
 
     def test_e_values_consistent_with_tables(self):
         result = chsh(vortex_state(), *MAX_SETTINGS)

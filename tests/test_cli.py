@@ -8,9 +8,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oamsim.bell import SHOTS_LIMIT
+from oamsim.bell import SHOTS_LIMIT, CoincidenceTable
 from oamsim import cli
-from oamsim.cli import BUILTIN_CIRCUITS, EXIT_INTERNAL, REPORT_SCHEMA, TRUNCATION_LIMIT, main
+from oamsim.cli import (
+    BUILTIN_CIRCUITS,
+    EXIT_GUARD,
+    EXIT_INTERNAL,
+    REPORT_SCHEMA,
+    TRUNCATION_LIMIT,
+    main,
+)
 from oamsim.elements import circuit_to_dict
 
 
@@ -305,6 +312,13 @@ class TestCliContract:
         monkeypatch.setitem(cli._HANDLERS, "sorter", handler)
         error = assert_one_json_error(capsys, ("sorter", "--m", "1"), code=EXIT_INTERNAL)
         assert error == {"code": "internal", "message": message}
+
+    def test_chsh_above_the_tsirelson_bound_is_a_guard_error(self, capsys, monkeypatch):
+        e_values = iter([1.0, -1.0, 1.0, 1.0])  # B = 4
+        monkeypatch.setattr(CoincidenceTable, "e_value", lambda table: next(e_values))
+        error = assert_one_json_error(capsys, BELL_ARGS, code=EXIT_GUARD)
+        assert error["code"] == "guard"
+        assert error["message"] == "analytic CHSH value 4.0 exceeds the quantum bound"
 
     def test_seed_recorded_in_config(self, capsys):
         code, report = run_json(capsys, "densecode", "--message", "00",

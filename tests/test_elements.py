@@ -563,6 +563,84 @@ class TestDenseOracle:
             circuit_unitary(Circuit("bad", (elem,), "p0", ()), 1)
 
 
+def every_kind_circuit(rng):
+    """A random circuit with one element of every kind, gates included,
+    shuffled in; it touches every pool path."""
+    elems = list(random_circuit(rng, int(rng.integers(1, 9))).elements)
+    for elem in ONE_OF_EACH_KIND:
+        elems.insert(int(rng.integers(len(elems) + 1)), elem)
+    return Circuit("kinds", tuple(elems), "p0", ())
+
+
+def random_pair_on(rng, truncation, paths):
+    """Random pair over every mode of `paths` for both photons."""
+    a = random_full_state(rng, truncation, paths=paths)
+    b = random_full_state(rng, truncation, paths=paths)
+    amps = {(k1, k2): x * complex(*rng.normal(size=2)) * y
+            for k1, x in a.amplitudes.items() for k2, y in b.amplitudes.items()}
+    return TwoPhotonState(amps, truncation).normalized()
+
+
+class TestDenseRoutesAgree:
+    """dense_apply steps the state's rows; the reference multiplies by the
+    materialized circuit_unitary: u @ vec, u @ M, M @ u.T and u @ M @ u.T.
+    The unitary itself must equal the product of the column-by-column
+    reference matrices, which share no code with the row step."""
+
+    CASES = [("kinds", seed, k) for seed in range(4) for k in (1, 2, 3)] + \
+        [("soba", 0, k) for k in (1, 2, 3)]
+
+    @staticmethod
+    def circuit_of(name, seed):
+        rng = np.random.default_rng(1200 + seed)
+        return (every_kind_circuit(rng) if name == "kinds" else build_soba()), rng
+
+    @staticmethod
+    def unitary(circuit, truncation):
+        u, basis = circuit_unitary(circuit, truncation)
+        want = np.eye(basis.size, dtype=complex)
+        for elem in circuit.elements:
+            want = reference_element_matrix(elem, basis) @ want
+        assert np.abs(u - want).max() <= 1e-12
+        return u, basis
+
+    @pytest.mark.parametrize("name,seed,truncation", CASES)
+    def test_single_photon(self, name, seed, truncation):
+        circuit, rng = self.circuit_of(name, seed)
+        u, basis = self.unitary(circuit, truncation)
+        state = random_full_state(rng, truncation, paths=circuit.paths())
+        got = basis.to_vector(dense_apply(circuit, state))
+        assert np.abs(got - u @ basis.to_vector(state)).max() <= 1e-12
+
+    @pytest.mark.parametrize("name,seed,truncation", CASES)
+    def test_pair(self, name, seed, truncation):
+        circuit, rng = self.circuit_of(name, seed)
+        u, basis = self.unitary(circuit, truncation)
+        state = random_pair_on(rng, truncation, circuit.paths()[:3])
+        m = basis.to_matrix(state)
+        for slot, want in ((1, u @ m), (2, m @ u.T), ("both", u @ m @ u.T)):
+            got = basis.to_matrix(dense_apply(circuit, state, slot=slot))
+            assert np.abs(got - want).max() <= 1e-12, slot
+
+    def test_pair_slot_must_be_one_two_or_both(self):
+        pair = random_pair_on(np.random.default_rng(1250), 1, ("in",))
+        for slot in (0, 3, None):
+            with pytest.raises(ValueError):
+                dense_apply(build_sorter(), pair, slot=slot)
+
+    def test_oracle_never_reads_the_action_cache(self):
+        rng = np.random.default_rng(1260)
+        circuit = every_kind_circuit(rng)
+        single = random_full_state(rng, 2, paths=pool_paths())
+        pair = random_pair_on(rng, 2, pool_paths()[:3])
+        before = elements._table.cache_info()
+        dense_apply(circuit, single)
+        dense_apply(circuit, pair)
+        circuit_unitary(circuit, 2)
+        element_matrix(circuit.elements[0], ModeBasis(pool_paths(), 2))
+        assert elements._table.cache_info() == before
+
+
 class TestBandInvariant:
     """No element writes a key outside the band, so _evolve checks the band
     only on its output."""

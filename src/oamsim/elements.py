@@ -505,14 +505,11 @@ def build_projection(theta: float, variant: str = "tunable_bs") -> Circuit:
 
 
 def _element_rows(elem: Element, basis: ModeBasis) -> tuple[np.ndarray, ...]:
-    """The rows of the element's unitary that differ from the identity.
-
-    Returns index and factor arrays (tgt, s1, f1, s2, f2): row tgt[r] is
-    f1[r] at column s1[r] plus f2[r] at column s2[r].  No element mixes
-    more than two modes into one, so two sources per row suffice; a row
-    with one source has s2 = s1 and f2 = 0.  The modes on the element's
-    paths are read straight from the basis, one contiguous index range per
-    path (see ModeBasis), with no local basis and no sort.
+    """The rows of the element's unitary that differ from the identity, as
+    arrays (tgt, s1, f1, s2, f2): row tgt[r] is f1[r] at column s1[r] plus
+    f2[r] at column s2[r]; a row with one source has s2 = s1 and f2 = 0.
+    The modes on each of the element's paths are one contiguous index range
+    of the basis (see ModeBasis), so no local basis is built.
     """
     k = basis.truncation
     sources: dict[int, list] = {}

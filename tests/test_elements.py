@@ -572,15 +572,6 @@ def every_kind_circuit(rng):
     return Circuit("kinds", tuple(elems), "p0", ())
 
 
-def random_pair_on(rng, truncation, paths):
-    """Random pair over every mode of `paths` for both photons."""
-    a = random_full_state(rng, truncation, paths=paths)
-    b = random_full_state(rng, truncation, paths=paths)
-    amps = {(k1, k2): x * complex(*rng.normal(size=2)) * y
-            for k1, x in a.amplitudes.items() for k2, y in b.amplitudes.items()}
-    return TwoPhotonState(amps, truncation).normalized()
-
-
 class TestDenseRoutesAgree:
     """dense_apply steps the state's rows; the reference multiplies by the
     materialized circuit_unitary: u @ vec, u @ M, M @ u.T and u @ M @ u.T.
@@ -616,14 +607,14 @@ class TestDenseRoutesAgree:
     def test_pair(self, name, seed, truncation):
         circuit, rng = self.circuit_of(name, seed)
         u, basis = self.unitary(circuit, truncation)
-        state = random_pair_on(rng, truncation, circuit.paths()[:3])
+        state = random_entangled_pair(rng, truncation, 64, circuit.paths()[:3])
         m = basis.to_matrix(state)
         for slot, want in ((1, u @ m), (2, m @ u.T), ("both", u @ m @ u.T)):
             got = basis.to_matrix(dense_apply(circuit, state, slot=slot))
             assert np.abs(got - want).max() <= 1e-12, slot
 
     def test_pair_slot_must_be_one_two_or_both(self):
-        pair = random_pair_on(np.random.default_rng(1250), 1, ("in",))
+        pair = random_entangled_pair(np.random.default_rng(1250), 1, paths=("in",))
         for slot in (0, 3, None):
             with pytest.raises(ValueError):
                 dense_apply(build_sorter(), pair, slot=slot)
@@ -632,7 +623,7 @@ class TestDenseRoutesAgree:
         rng = np.random.default_rng(1260)
         circuit = every_kind_circuit(rng)
         single = random_full_state(rng, 2, paths=pool_paths())
-        pair = random_pair_on(rng, 2, pool_paths()[:3])
+        pair = random_entangled_pair(rng, 2)
         before = elements._table.cache_info()
         dense_apply(circuit, single)
         dense_apply(circuit, pair)
@@ -686,9 +677,9 @@ def _elements(draw):
     return factory(paths[0], draw(_ANGLES))
 
 
-def random_entangled_pair(rng, truncation, n_terms=16):
-    """Random pair over three pool paths; generally not a product state."""
-    keys = [mode(m, pol, p) for p in pool_paths()[:3] for pol in (H, V)
+def random_entangled_pair(rng, truncation, n_terms=16, paths=pool_paths()[:3]):
+    """Random pair over `paths`; generally not a product state."""
+    keys = [mode(m, pol, p) for p in paths for pol in (H, V)
             for m in range(-truncation, truncation + 1)]
     amps = {}
     for a, b in rng.integers(len(keys), size=(n_terms, 2)):

@@ -151,8 +151,27 @@ def _clean_probs(probs) -> np.ndarray:
     return p / total
 
 
+def _e_value(c13, c14, c23, c24) -> float:
+    """E = (c13 + c24 - c14 - c23) / total from the four coincidence
+    probabilities or counts."""
+    total = c13 + c14 + c23 + c24
+    if total < 1e-12:
+        raise ValueError("all coincidence probabilities vanish")
+    return (c13 + c24 - c14 - c23) / total
+
+
+def _chsh_b_sigma(e, n):
+    """B = |E1 - E2 + E3 + E4| from the four settings' E values, and its
+    standard error when setting i has n[i] sampled coincidences (n None:
+    analytic, no error)."""
+    b = abs(e[0] - e[1] + e[2] + e[3])
+    if n is None:
+        return b, None
+    return b, math.sqrt(sum((1.0 - ei * ei) / ni for ei, ni in zip(e, n)))
+
+
 def _port_fraction(part: float, port_total: float, port: str) -> float:
-    # Same floor as e_value: below it the ratio is round-off over round-off.
+    # Same floor as _e_value: below it the ratio is round-off over round-off.
     if port_total < 1e-12:
         raise ValueError(f"Alice's {port} port receives no coincidences")
     return part / port_total
@@ -163,7 +182,8 @@ class CoincidenceTable:
     """Coincidence data for one (theta, chi) setting pair.
 
     d13..d24 are the exact joint detection probabilities (they sum to one);
-    in sampled mode `counts` carries one multinomial draw over them.
+    a sampled table, and only a sampled one, carries one multinomial draw
+    over them in `counts`.
     """
 
     theta: float
@@ -172,9 +192,6 @@ class CoincidenceTable:
     d14: float
     d23: float
     d24: float
-    mode: str = "analytic"
-    shots: int = 0
-    seed: int | None = None
     counts: tuple[int, int, int, int] | None = None
 
     def joint(self) -> dict[str, float]:
@@ -196,16 +213,9 @@ class CoincidenceTable:
 
     def e_value(self) -> float:
         """Correlation parameter from the four-coincidence ratio."""
-        if self.mode == "sampled" and self.counts is not None:
-            n13, n14, n23, n24 = self.counts
-            total = n13 + n14 + n23 + n24
-            if total == 0:
-                raise ValueError("no sampled coincidences")
-            return (n13 + n24 - n14 - n23) / total
-        total = self.d13 + self.d14 + self.d23 + self.d24
-        if total < 1e-12:
-            raise ValueError("all coincidence probabilities vanish")
-        return (self.d13 + self.d24 - self.d14 - self.d23) / total
+        if self.counts is not None:
+            return _e_value(*self.counts)
+        return _e_value(self.d13, self.d14, self.d23, self.d24)
 
 
 def _table(s: TwoPhotonState, theta: float, chi: float, variant: str,
@@ -215,8 +225,7 @@ def _table(s: TwoPhotonState, theta: float, chi: float, variant: str,
     if shots <= 0:
         return CoincidenceTable(theta, chi, *d)
     counts = sample_counts(d, shots, seed, *key)
-    return CoincidenceTable(theta, chi, *d, mode="sampled", shots=int(shots),
-                            seed=int(seed), counts=tuple(int(c) for c in counts))
+    return CoincidenceTable(theta, chi, *d, counts=tuple(int(c) for c in counts))
 
 
 def coincidence(s: TwoPhotonState, theta: float, chi: float,
@@ -243,12 +252,8 @@ def chsh(s: TwoPhotonState, theta: float, theta2: float, chi: float, chi2: float
     tables = [_table(s, t, c, variant, shots, seed, 2, i)
               for i, (t, c) in enumerate(pairs)]
     e = [tab.e_value() for tab in tables]
-    b = abs(e[0] - e[1] + e[2] + e[3])
-    sigma = None
-    if shots > 0:
-        var = sum((1.0 - ei * ei) / shots for ei in e)
-        sigma = math.sqrt(var)
-    elif b > TSIRELSON + 1e-9:
+    b, sigma = _chsh_b_sigma(e, [shots] * 4 if shots > 0 else None)
+    if sigma is None and b > TSIRELSON + 1e-9:
         raise TsirelsonError(f"analytic CHSH value {b} exceeds the quantum bound")
     e_values = {
         "E(theta,chi)": e[0],
@@ -313,26 +318,11 @@ def ekert_run(s: TwoPhotonState, rounds: int, seed: int,
     key_b = "".join(map(str, bob_bits))
     qber = float(np.mean(alice_bits != bob_bits)) if matched.any() else None
 
-    e_hat = {}
-    sigma_sq = 0.0
-    for combo in _CHSH_COMBOS:
-        counts = combo_counts.get(combo)
-        if counts is None or counts.sum() == 0:
-            e_hat = None
-            break
-        n = counts.sum()
-        e = (counts[0] + counts[3] - counts[1] - counts[2]) / n
-        e_hat[combo] = e
-        sigma_sq += (1.0 - e * e) / n
-    if e_hat is None:
-        estimate, sigma = None, None
-        chsh_rounds = int(sum(c.sum() for k, c in combo_counts.items()
-                              if k in _CHSH_COMBOS))
-    else:
-        estimate = abs(e_hat[(0, 0)] - e_hat[(0, 2)]
-                       + e_hat[(2, 0)] + e_hat[(2, 2)])
-        sigma = math.sqrt(sigma_sq)
-        chsh_rounds = int(sum(combo_counts[k].sum() for k in _CHSH_COMBOS))
+    chsh_counts = [combo_counts[c] for c in _CHSH_COMBOS if c in combo_counts]
+    estimate = sigma = None
+    if len(chsh_counts) == len(_CHSH_COMBOS):
+        estimate, sigma = _chsh_b_sigma([_e_value(*c) for c in chsh_counts],
+                                        [c.sum() for c in chsh_counts])
     return EkertResult(
         rounds=int(rounds),
         seed=int(seed),
@@ -342,5 +332,5 @@ def ekert_run(s: TwoPhotonState, rounds: int, seed: int,
         chsh_estimate=estimate,
         chsh_sigma=sigma,
         matched_rounds=int(matched.sum()),
-        chsh_rounds=chsh_rounds,
+        chsh_rounds=int(sum(c.sum() for c in chsh_counts)),
     )

@@ -23,14 +23,7 @@ import os
 import sys
 
 from . import bell, soba, tomography
-from .elements import (
-    WrapGuardError,
-    build_s2_setup,
-    build_s3_setup,
-    build_sorter,
-    circuit_to_dict,
-    readout,
-)
+from .elements import WrapGuardError, build_sorter, circuit_to_dict, readout
 from .hilbert import (
     DENSE_BYTES_LIMIT,
     PhotonState,
@@ -73,12 +66,7 @@ TRUNCATION_LIMIT = DENSE_BYTES_LIMIT // TRUNCATION_BYTES_PER_K
 COMMANDS = ("state", "sorter", "tomography", "bell", "ekert", "soba", "densecode")
 
 # Named interferometers shipped with the CLI (JSON via --circuit NAME).
-BUILTIN_CIRCUITS = {
-    "sorter": build_sorter,
-    "s2_setup": build_s2_setup,
-    "s3_setup": build_s3_setup,
-    "soba": soba.build_soba,
-}
+BUILTIN_CIRCUITS = {**tomography.SETUPS, "soba": soba.build_soba}
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -189,7 +177,7 @@ def _base_config(args, spectrum: SpectrumModel | None = None) -> dict:
         "truncation": args.truncation,
         "shots": args.shots,
         "seed": args.seed,
-        "format": args.format,
+        "format": "json",
         "rng": "numpy-pcg64",
     }
     if spectrum is not None:
@@ -200,6 +188,12 @@ def _base_config(args, spectrum: SpectrumModel | None = None) -> dict:
 def _require_seed(args) -> None:
     if args.shots > 0 and args.seed is None:
         raise ValidationError("shots > 0 requires --seed")
+
+
+def _sampled_counts(args, probs: dict, key: int) -> dict:
+    """One seeded draw of --shots over the detector probabilities."""
+    counts = bell.sample_counts(list(probs.values()), args.shots, args.seed, key)
+    return {d: int(n) for d, n in zip(probs, counts)}
 
 
 def _vortex_state(args, spectrum):
@@ -249,8 +243,7 @@ def _cmd_sorter(args) -> dict:
     cfg["m"] = args.m
     report = {"command": "sorter", "config": cfg, "probabilities": probs}
     if args.shots > 0:
-        counts = bell.sample_counts(list(probs.values()), args.shots, args.seed, 10)
-        report["counts"] = {d: int(n) for d, n in zip(probs, counts)}
+        report["counts"] = _sampled_counts(args, probs, 10)
     return report
 
 
@@ -260,37 +253,26 @@ def _rho_records(matrix) -> list:
 
 
 def _single_pair_qubit(state: PhotonState):
-    """Qubit (even, odd) amplitudes when the state occupies one OAM pair."""
-    evens = {}
-    odds = {}
-    for key, amp in state.amplitudes.items():
-        (evens if key.m % 2 == 0 else odds)[key.m] = amp
-    if len(evens) > 1 or len(odds) > 1:
+    """(even, odd) amplitudes of a pure parity qubit: every amplitude on one
+    polarization and in one OAM pair (2k, 2k+1).  Any other state is None."""
+    keys = state.amplitudes.keys()
+    if len({k.pol for k in keys}) != 1 or len({k.m // 2 for k in keys}) != 1:
         return None
-    a = next(iter(evens.values()), 0j)
-    b = next(iter(odds.values()), 0j)
-    if evens and odds:
-        m_even = next(iter(evens))
-        m_odd = next(iter(odds))
-        if m_odd != m_even + 1:
-            return None
-    return a, b
+    amps = {k.m % 2: a for k, a in state.amplitudes.items()}
+    return amps.get(0, 0j), amps.get(1, 0j)
 
 
 def _cmd_tomography(args) -> dict:
     state = _parse_state(args.state, args.truncation)
-    i1a, i2a, s0, s1 = tomography.measure_s0_s1(state)
-    i1b, i2b, s2 = tomography.measure_s2(state)
-    i1c, i2c, s3 = tomography.measure_s3(state)
-    sv = tomography.StokesVector(s0, s1, s2, s3)
+    table = tomography.intensities(state)
+    sv = tomography.stokes_from_intensities(table)
     density = tomography.reconstruct(sv)
-    intensities = {"sorter": (i1a, i2a), "s2_setup": (i1b, i2b), "s3_setup": (i1c, i2c)}
     report = {
         "command": "tomography",
         "config": _base_config(args),
-        "intensities": {setup: {"I1": i1, "I2": i2}
-                        for setup, (i1, i2) in intensities.items()},
-        "s0": s0, "s1": s1, "s2": s2, "s3": s3,
+        "intensities": {setup: dict(zip(("I1", "I2"), ports.values()))
+                        for setup, ports in table.items()},
+        "s0": sv.s0, "s1": sv.s1, "s2": sv.s2, "s3": sv.s3,
         "rho": _rho_records(density.matrix),
         "clipped": density.clipped,
     }
@@ -302,9 +284,8 @@ def _cmd_tomography(args) -> dict:
             with open(args.csv, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(("setup", "port", "intensity"))
-                for setup, values in intensities.items():
-                    ports = BUILTIN_CIRCUITS[setup]().detector_paths
-                    for port, intensity in zip(ports, values):
+                for setup, ports in table.items():
+                    for port, intensity in ports.items():
                         writer.writerow((setup, port, format_float(float(intensity))))
         except OSError as exc:
             raise ValidationError(f"cannot write csv file {args.csv!r}: {exc}") from exc
@@ -372,8 +353,7 @@ def _cmd_soba(args) -> dict:
     cfg["state"] = args.state
     report = {"command": "soba", "config": cfg, "distribution": dist}
     if args.shots > 0:
-        counts = bell.sample_counts(list(dist.values()), args.shots, args.seed, 11)
-        report["counts"] = {d: int(n) for d, n in zip(dist, counts)}
+        report["counts"] = _sampled_counts(args, dist, 11)
     return report
 
 
@@ -424,17 +404,17 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-K", "--truncation", type=int, default=None,
                         help="OAM truncation band |m| <= K (default 8)")
-    common.add_argument("--spectrum", type=str, default=None,
-                        help="'uniform', 'gaussian:SIGMA', 'canonical' or JSON")
     common.add_argument("--shots", type=int, default=None,
                         help="number of sampled shots; 0 = analytic")
     common.add_argument("--seed", type=int, default=None, help="PRNG seed")
-    common.add_argument("--format", choices=("json",), default=None,
-                        help="report format")
+    # Only the commands that build a source from a spectrum take one.
+    spectral = argparse.ArgumentParser(add_help=False)
+    spectral.add_argument("--spectrum", type=str, default=None,
+                          help="'uniform', 'gaussian:SIGMA', 'canonical' or JSON")
 
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("state", parents=[common], help="emit a source state")
+    p = sub.add_parser("state", parents=[common, spectral], help="emit a source state")
     p.add_argument("--kind", choices=("spdc", "hyper", "bell"), default="spdc")
     p.add_argument("--pump", type=int, choices=(0, 1), default=1)
     p.add_argument("--pol", choices=(PRODUCT_HH, BELL_PHI_PLUS), default=PRODUCT_HH)
@@ -450,14 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=str, default=None,
                    help="also write (setup, port, intensity) rows to this file")
 
-    p = sub.add_parser("bell", parents=[common], help="CHSH coincidence run")
+    p = sub.add_parser("bell", parents=[common, spectral], help="CHSH coincidence run")
     p.add_argument("--theta", type=float, required=True, help="degrees")
     p.add_argument("--theta2", type=float, required=True, help="degrees")
     p.add_argument("--chi", type=float, required=True, help="degrees")
     p.add_argument("--chi2", type=float, required=True, help="degrees")
     p.add_argument("--variant", choices=bell.VARIANTS, default="tunable_bs")
 
-    p = sub.add_parser("ekert", parents=[common],
+    p = sub.add_parser("ekert", parents=[common, spectral],
                        help="entanglement-based key exchange")
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--variant", choices=bell.VARIANTS, default="tunable_bs")
@@ -467,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", type=str, required=True,
                    help="psi+|psi-|phi+|phi- or custom state JSON")
 
-    p = sub.add_parser("densecode", parents=[common],
+    p = sub.add_parser("densecode", parents=[common, spectral],
                        help="superdense-coding round trip")
     p.add_argument("--message", type=str, required=True,
                    choices=tuple(sorted(soba.BITS_MESSAGE)))
@@ -491,7 +471,7 @@ def _fill_defaults(args) -> None:
         raise ValidationError("truncation must satisfy K >= 1")
     if args.truncation > TRUNCATION_LIMIT:
         raise ValidationError(f"truncation {args.truncation} exceeds limit {TRUNCATION_LIMIT}")
-    if args.spectrum is None and "spectrum" in env:
+    if "spectrum" in vars(args) and args.spectrum is None and "spectrum" in env:
         args.spectrum = env["spectrum"] if isinstance(env["spectrum"], str) \
             else json.dumps(env["spectrum"])
     if args.shots is None:
@@ -500,10 +480,6 @@ def _fill_defaults(args) -> None:
         raise ValidationError("shots must be >= 0")
     if args.seed is None:
         args.seed = _env_int(env, "seed", None)
-    if args.format is None:
-        args.format = str(env.get("format", "json"))
-    if args.format != "json":
-        raise ValidationError(f"unsupported output format {args.format!r}")
 
 
 def _report(argv) -> dict:

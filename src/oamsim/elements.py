@@ -180,6 +180,9 @@ def _wrap_m(m: int, truncation: int) -> tuple[int, bool]:
     return wrapped, wrapped != m
 
 
+_KINDS = frozenset(("bs", "pbs", "dove", "spp", "hwp", "phase", "mirror", "oc_p", "pc_o"))
+
+
 def _key_action(elem: Element, key: ModeKey, truncation: int):
     """Targets of one basis mode: list of (new_key, factor, crossed_band_edge).
 
@@ -188,79 +191,51 @@ def _key_action(elem: Element, key: ModeKey, truncation: int):
     unitary on the whole basis, not just an isometry on fed ports.
     """
     kind = elem.kind
+    if kind not in _KINDS:
+        raise ValueError(f"unknown element kind {kind!r}")
+    path, pol, m = key
+    if path in elem.in_paths:
+        port = elem.in_paths.index(path)
+    elif path in elem.out_paths:
+        return [(ModeKey(elem.in_paths[elem.out_paths.index(path)], pol, m), 1.0, False)]
+    else:
+        return [(key, 1.0, False)]  # modes on unrelated paths pass through
     if kind == "bs":
-        in_a, in_b = elem.in_paths
+        t = elem.params["t"]
+        r = math.sqrt(max(0.0, 1.0 - t * t))
         out_a, out_b = elem.out_paths
-        if key.path == in_a or key.path == in_b:
-            t = elem.params["t"]
-            r = math.sqrt(max(0.0, 1.0 - t * t))
-            ka = ModeKey(out_a, key.pol, key.m)
-            kb = ModeKey(out_b, key.pol, key.m)
-            if key.path == in_a:
-                return [(ka, t, False), (kb, 1j * r, False)]
-            return [(ka, 1j * r, False), (kb, t, False)]
-        if key.path == out_a:
-            return [(ModeKey(in_a, key.pol, key.m), 1.0, False)]
-        if key.path == out_b:
-            return [(ModeKey(in_b, key.pol, key.m), 1.0, False)]
-    elif kind == "pbs":
-        in_a, in_b = elem.in_paths
-        out_a, out_b = elem.out_paths
-        if key.path == in_a:
-            if key.pol == H:
-                return [(ModeKey(out_a, H, key.m), 1.0, False)]
-            return [(ModeKey(out_b, V, key.m), 1j, False)]
-        if key.path == in_b:
-            if key.pol == H:
-                return [(ModeKey(out_b, H, key.m), 1.0, False)]
-            return [(ModeKey(out_a, V, key.m), 1j, False)]
-        if key.path == out_a:
-            return [(ModeKey(in_a, key.pol, key.m), 1.0, False)]
-        if key.path == out_b:
-            return [(ModeKey(in_b, key.pol, key.m), 1.0, False)]
-    elif kind == "dove":
-        if key.path == elem.in_paths[0]:
-            return [(key, cmath.exp(1j * key.m * elem.params["alpha"]), False)]
-    elif kind == "spp":
-        if key.path == elem.in_paths[0]:
-            m2, wrapped = _wrap_m(key.m + elem.params["q"], truncation)
-            return [(ModeKey(key.path, key.pol, m2), 1.0, wrapped)]
-    elif kind == "hwp":
-        if key.path == elem.in_paths[0]:
-            two = 2.0 * elem.params["theta"]
-            c, s = math.cos(two), math.sin(two)
-            kh = ModeKey(key.path, H, key.m)
-            kv = ModeKey(key.path, V, key.m)
-            if key.pol == H:
-                return [(kh, c, False), (kv, s, False)]
-            return [(kh, s, False), (kv, -c, False)]
-    elif kind == "phase":
-        if key.path == elem.in_paths[0]:
-            return [(key, cmath.exp(1j * elem.params["phi"]), False)]
-    elif kind == "mirror":
-        if key.path == elem.in_paths[0]:
-            return [(ModeKey(elem.out_paths[0], key.pol, key.m), 1.0, False)]
-        if key.path == elem.out_paths[0]:
-            return [(ModeKey(elem.in_paths[0], key.pol, key.m), 1.0, False)]
-    elif kind == "oc_p":
+        fa, fb = (t, 1j * r) if port == 0 else (1j * r, t)
+        return [(ModeKey(out_a, pol, m), fa, False), (ModeKey(out_b, pol, m), fb, False)]
+    if kind == "pbs":
+        if pol == H:
+            return [(ModeKey(elem.out_paths[port], H, m), 1.0, False)]
+        return [(ModeKey(elem.out_paths[1 - port], V, m), 1j, False)]
+    if kind == "mirror":
+        return [(ModeKey(elem.out_paths[0], pol, m), 1.0, False)]
+    if kind == "dove":
+        return [(key, cmath.exp(1j * m * elem.params["alpha"]), False)]
+    if kind == "phase":
+        return [(key, cmath.exp(1j * elem.params["phi"]), False)]
+    if kind == "hwp":
+        two = 2.0 * elem.params["theta"]
+        c, s = math.cos(two), math.sin(two)
+        fh, fv = (c, s) if pol == H else (s, -c)
+        return [(ModeKey(path, H, m), fh, False), (ModeKey(path, V, m), fv, False)]
+    if kind == "spp":
+        m2, wrapped = _wrap_m(m + elem.params["q"], truncation)
+        return [(ModeKey(path, pol, m2), 1.0, wrapped)]
+    if kind == "oc_p":
         # Parity-controlled joint NOT, completed to a permutation at the OAM
         # level: even/H fixed; odd/H -> even/V; even/V -> odd/V; odd/V -> odd/H.
-        if key.path in elem.in_paths:
-            even = key.m % 2 == 0
-            if key.pol == H and even:
-                return [(key, 1.0, False)]
-            if key.pol == V and not even:
-                return [(ModeKey(key.path, H, key.m), 1.0, False)]
-            m2, wrapped = _wrap_m(key.m + 1, truncation)
-            return [(ModeKey(key.path, V, m2), 1.0, wrapped)]
-    elif kind == "pc_o":
-        # Polarization-controlled parity NOT: V polarization shifts m by +1.
-        if key.path in elem.in_paths and key.pol == V:
-            m2, wrapped = _wrap_m(key.m + 1, truncation)
-            return [(ModeKey(key.path, V, m2), 1.0, wrapped)]
-    else:
-        raise ValueError(f"unknown element kind {kind!r}")
-    return [(key, 1.0, False)]  # modes on unrelated paths pass through
+        even = m % 2 == 0
+        if pol == H and even:
+            return [(key, 1.0, False)]
+        if pol == V and not even:
+            return [(ModeKey(path, H, m), 1.0, False)]
+    elif pol == H:  # pc_o, polarization-controlled parity NOT: V shifts m by +1
+        return [(key, 1.0, False)]
+    m2, wrapped = _wrap_m(m + 1, truncation)
+    return [(ModeKey(path, V, m2), 1.0, wrapped)]
 
 
 # Action tables, one per (element, K), of the most recently used elements:

@@ -164,16 +164,29 @@ def hbsa_decode(r1: str, r2: str) -> str:
     return family + ("+" if plus else "-")
 
 
+def _message_of(pair: tuple[str, str]) -> str:
+    """Message bits a (photon 1, photon 2) detector pair decodes to."""
+    return MESSAGE_BITS[hbsa_decode(DETECTOR_LABELS[pair[0]], DETECTOR_LABELS[pair[1]])]
+
+
+def _decode(weights: dict) -> dict[str, float]:
+    """Message bits -> summed weight of the detector pairs that decode to them."""
+    out = {bits: 0.0 for bits in BITS_MESSAGE}
+    for pair, w in weights.items():
+        out[_message_of(pair)] += w
+    return out
+
+
 @dataclass(frozen=True)
 class DenseCodingResult:
+    """A sampled result, and only a sampled one, carries its detector-pair
+    `counts`."""
+
     sent: str
     label: str
     message_probs: dict[str, float]
     pair_probs: dict[tuple[str, str], float] = field(repr=False)
     accuracy: float
-    mode: str = "analytic"
-    shots: int = 0
-    seed: int | None = None
     counts: dict[tuple[str, str], int] | None = field(default=None, repr=False)
 
 
@@ -192,26 +205,14 @@ def dense_coding_roundtrip(message: str, shots: int = 0, seed: int | None = None
     pair = hyper_source(spectrum, truncation)
     encoded = encode_polarization_bell(pair, label)
     pair_probs = joint_soba(encoded)
-
-    message_probs = {bits: 0.0 for bits in BITS_MESSAGE}
-    for (da, db), p in pair_probs.items():
-        decoded = hbsa_decode(DETECTOR_LABELS[da], DETECTOR_LABELS[db])
-        message_probs[MESSAGE_BITS[decoded]] += p
-
     if shots <= 0:
+        message_probs = _decode(pair_probs)
         return DenseCodingResult(message, label, message_probs, pair_probs,
                                  accuracy=message_probs[message])
     keys = sorted(pair_probs)
     draws = sample_counts([pair_probs[k] for k in keys], shots, seed, 3)
     counts = {k: int(n) for k, n in zip(keys, draws) if n}
-    correct = 0
-    sampled_probs = {bits: 0.0 for bits in BITS_MESSAGE}
-    for (da, db), n in counts.items():
-        decoded = hbsa_decode(DETECTOR_LABELS[da], DETECTOR_LABELS[db])
-        bits = MESSAGE_BITS[decoded]
-        sampled_probs[bits] += n / shots
-        if bits == message:
-            correct += n
-    return DenseCodingResult(message, label, sampled_probs, pair_probs,
-                             accuracy=correct / shots, mode="sampled",
-                             shots=int(shots), seed=int(seed), counts=counts)
+    correct = sum(n for k, n in counts.items() if _message_of(k) == message)
+    return DenseCodingResult(message, label,
+                             _decode({k: n / shots for k, n in counts.items()}),
+                             pair_probs, accuracy=correct / shots, counts=counts)

@@ -1,7 +1,7 @@
 """Stokes measurements and density-matrix reconstruction for the parity qubit.
 
-Three interferometric setups measure the even/odd analogue of the
-polarization Stokes parameters:
+Three interferometric setups (`SETUPS`) measure the even/odd analogue of
+the polarization Stokes parameters:
 
   * the sorter gives s0 = I1 + I2 and s1 = I1 - I2;
   * the diagonal-basis analyzer gives s2 = I2 - I1;
@@ -23,9 +23,9 @@ from .hilbert import PhotonState
 __all__ = [
     "StokesVector",
     "QubitDensity",
-    "measure_s0_s1",
-    "measure_s2",
-    "measure_s3",
+    "SETUPS",
+    "intensities",
+    "stokes_from_intensities",
     "stokes",
     "reconstruct",
     "fidelity",
@@ -61,36 +61,26 @@ class QubitDensity:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
-def _intensities(circuit, state: PhotonState):
-    """(I1, I2) at the setup's two detector paths; the state must be normalized."""
+# The three setups, in measurement order; each has two detector paths.
+SETUPS = {"sorter": build_sorter, "s2_setup": build_s2_setup, "s3_setup": build_s3_setup}
+
+
+def intensities(state: PhotonState) -> dict[str, dict[str, float]]:
+    """Setup name -> {detector path: intensity}; the state must be normalized."""
     state.require_normalized()
-    return tuple(readout(circuit, state).values())
+    return {name: readout(build(), state) for name, build in SETUPS.items()}
 
 
-def measure_s0_s1(state: PhotonState):
-    """Run the sorter; returns (I1, I2, s0, s1) with I1 the even-port intensity."""
-    i1, i2 = _intensities(build_sorter(), state)
-    return i1, i2, i1 + i2, i1 - i2
-
-
-def measure_s2(state: PhotonState):
-    """Diagonal-basis analyzer; returns (I1, I2, s2 = I2 - I1)."""
-    i1, i2 = _intensities(build_s2_setup(), state)
-    return i1, i2, i2 - i1
-
-
-def measure_s3(state: PhotonState):
-    """Circular-basis analyzer; returns (I1, I2, s3 = I2 - I1)."""
-    i1, i2 = _intensities(build_s3_setup(), state)
-    return i1, i2, i2 - i1
+def stokes_from_intensities(table: dict[str, dict[str, float]]) -> StokesVector:
+    """s0 = I1 + I2 and s1 = I1 - I2 at the sorter (I1 the even port);
+    s2 and s3 = I2 - I1 at the two analyzers."""
+    (e, o), (d1, d2), (c1, c2) = (table[name].values() for name in SETUPS)
+    return StokesVector(e + o, e - o, d2 - d1, c2 - c1)
 
 
 def stokes(state: PhotonState) -> StokesVector:
     """All four Stokes parameters from the three interferometer runs."""
-    _, _, s0, s1 = measure_s0_s1(state)
-    *_, s2 = measure_s2(state)
-    *_, s3 = measure_s3(state)
-    return StokesVector(s0, s1, s2, s3)
+    return stokes_from_intensities(intensities(state))
 
 
 def reconstruct(sv: StokesVector) -> QubitDensity:
@@ -102,10 +92,9 @@ def reconstruct(sv: StokesVector) -> QubitDensity:
     """
     rho = 0.5 * (sv.s0 * np.eye(2, dtype=complex)
                  + sv.s1 * _SZ + sv.s2 * _SX + sv.s3 * _SY)
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() >= CLIP_EIGENVALUE:
-        return QubitDensity(rho, clipped=False)
     w, vecs = np.linalg.eigh(rho)
+    if w.min() >= CLIP_EIGENVALUE:
+        return QubitDensity(rho, clipped=False)
     w = np.clip(w, 0.0, None)
     total = w.sum()
     if total > 0:

@@ -115,6 +115,38 @@ class TestTomographyCommand:
         assert lines[0] == "setup,port,intensity"
         assert len(lines) == 7
 
+    def test_csv_rows_are_the_reported_intensities_at_each_setups_ports(self, capsys, tmp_path):
+        target = tmp_path / "intensities.csv"
+        code, report = run_json(capsys, "tomography", "--state",
+                                '{"coeffs":[[0,0.6],[1,0.48,0.64]]}', "--csv", str(target))
+        assert code == 0
+        rows = [(setup, port, float(value)) for setup, port, value in
+                (line.split(",") for line in target.read_text().strip().splitlines()[1:])]
+        expected = [(setup, port, report["intensities"][setup][label])
+                    for setup in ("sorter", "s2_setup", "s3_setup")
+                    for port, label in zip(BUILTIN_CIRCUITS[setup]().detector_paths,
+                                           ("I1", "I2"))]
+        assert rows == expected
+
+    @pytest.mark.parametrize("state", [
+        "psi+",
+        '{"terms":[{"m":0,"re":1},{"m":1,"re":1},{"m":1,"pol":"V","re":1}]}',
+        '{"coeffs":[[0,1],[3,1]]}',
+    ], ids=["spin_orbit_bell", "two_polarizations", "two_oam_pairs"])
+    def test_fidelity_only_for_a_pure_parity_qubit(self, capsys, state):
+        code, report = run_json(capsys, "tomography", "--state", state)
+        assert code == 0
+        assert "fidelity" not in report
+
+    @pytest.mark.parametrize("state", [
+        '{"coeffs":[[-2,0.6],[-1,0,0.8]]}',
+        '{"terms":[{"m":4,"pol":"V","re":0.6},{"m":5,"pol":"V","im":0.8}]}',
+    ], ids=["coeffs", "v_terms"])
+    def test_pure_parity_qubit_reports_fidelity_one(self, capsys, state):
+        code, report = run_json(capsys, "tomography", "--state", state)
+        assert code == 0
+        assert report["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing_dir", "dir"])
     def test_csv_path_that_cannot_be_written(self, capsys, tmp_path, target):
         path = str(tmp_path / target)
@@ -328,6 +360,37 @@ class TestCliContract:
 
 
 BELL_ARGS = ("bell", "--theta", "0", "--theta2", "45", "--chi", "22.5", "--chi2", "67.5")
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ("sorter", "--m", "2"), ("soba", "--state", "psi+"), ("tomography", "--state", "psi+"),
+    ], ids=lambda argv: argv[0])
+    def test_spectrum_is_an_argument_error_without_a_source(self, capsys, argv):
+        error = assert_one_json_error(capsys, (*argv, "--spectrum", "uniform"))
+        assert "--spectrum" in error["message"]
+
+    def test_config_spectrum_applies_only_to_commands_with_a_source(
+            self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"spectrum": "garbage"}))
+        monkeypatch.setenv("OAMSIM_CONFIG", str(cfg))
+        code, report = run_json(capsys, "sorter", "--m", "2")
+        assert code == 0 and "spectrum" not in report["config"]
+        assert "garbage" in assert_one_json_error(capsys, BELL_ARGS)["message"]
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_format_flag_is_gone(self, capsys, command):
+        argv = [command, *(token for pair in _REQUIRED[command] for token in pair)]
+        error = assert_one_json_error(capsys, (*argv, "--format", "json"))
+        assert "--format" in error["message"]
+
+    def test_format_in_config_is_not_read(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        monkeypatch.setenv("OAMSIM_CONFIG", str(cfg))
+        code, report = run_json(capsys, "sorter", "--m", "2")
+        assert code == 0 and report["config"]["format"] == "json"
 
 
 def assert_one_json_error(capsys, argv, code=2):

@@ -562,6 +562,12 @@ class TestDenseOracle:
         with pytest.raises(ValueError):
             circuit_unitary(Circuit("bad", (elem,), "p0", ()), 1)
 
+    def test_unknown_element_kind_raises_for_modes_off_its_paths(self):
+        elem = Element("prism", ("p0",), ("p1",))
+        state = PhotonState({mode(0, H, "q"): 1.0}, 2)
+        with pytest.raises(ValueError, match="unknown element kind"):
+            apply_element(elem, state)
+
 
 def every_kind_circuit(rng):
     """A random circuit with one element of every kind, gates included,

@@ -7,9 +7,7 @@ from oamsim.hilbert import NormalizationError, PhotonState, mode
 from oamsim.tomography import (
     StokesVector,
     fidelity,
-    measure_s0_s1,
-    measure_s2,
-    measure_s3,
+    intensities,
     reconstruct,
     stokes,
 )
@@ -37,52 +35,51 @@ def direct_stokes(coeffs):
 
 class TestLinearBasis:
     def test_balanced_superposition(self):
-        _, _, s0, s1 = measure_s0_s1(oam_state({0: 1, 1: 1}))
-        assert s0 == pytest.approx(1.0, abs=1e-12)
-        assert s1 == pytest.approx(0.0, abs=1e-12)
+        sv = stokes(oam_state({0: 1, 1: 1}))
+        assert sv.s0 == pytest.approx(1.0, abs=1e-12)
+        assert sv.s1 == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_even_mode(self):
-        i1, i2, s0, s1 = measure_s0_s1(oam_state({2: 1}))
-        assert i1 == pytest.approx(1.0, abs=1e-12)
-        assert s1 == pytest.approx(1.0, abs=1e-12)
+        state = oam_state({2: 1})
+        assert intensities(state)["sorter"]["even_port"] == pytest.approx(1.0, abs=1e-12)
+        assert stokes(state).s1 == pytest.approx(1.0, abs=1e-12)
 
     def test_uneven_weights(self):
-        _, _, _, s1 = measure_s0_s1(oam_state({0: 0.6, 3: 0.8}))
-        assert s1 == pytest.approx(0.36 - 0.64, abs=1e-12)
+        assert stokes(oam_state({0: 0.6, 3: 0.8})).s1 == pytest.approx(0.36 - 0.64, abs=1e-12)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(NormalizationError):
-            measure_s0_s1(PhotonState({mode(0): 0.5}, 4))
+            intensities(PhotonState({mode(0): 0.5}, 4))
 
 
 class TestDiagonalBasis:
     def test_real_balanced(self):
-        *_, s2 = measure_s2(oam_state({0: 1, 1: 1}))
+        s2 = stokes(oam_state({0: 1, 1: 1})).s2
         assert s2 == pytest.approx(1.0, abs=1e-12)
 
     def test_quadrature(self):
-        *_, s2 = measure_s2(oam_state({0: 1, 1: 1j}))
+        s2 = stokes(oam_state({0: 1, 1: 1j})).s2
         assert s2 == pytest.approx(0.0, abs=1e-12)
 
     def test_four_mode_comb(self):
         # direct sum over the two (even, odd) pairs: (1/4 + 1/4) * 2 = 1
         coeffs = {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5}
         assert direct_stokes(coeffs)[2] == pytest.approx(1.0)
-        *_, s2 = measure_s2(oam_state(coeffs))
+        s2 = stokes(oam_state(coeffs)).s2
         assert s2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCircularBasis:
     def test_positive_quadrature(self):
-        *_, s3 = measure_s3(oam_state({0: 1, 1: 1j}))
+        s3 = stokes(oam_state({0: 1, 1: 1j})).s3
         assert s3 == pytest.approx(1.0, abs=1e-12)
 
     def test_real_superposition(self):
-        *_, s3 = measure_s3(oam_state({0: 1, 1: 1}))
+        s3 = stokes(oam_state({0: 1, 1: 1})).s3
         assert s3 == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_quadrature(self):
-        *_, s3 = measure_s3(oam_state({0: 1, 1: -1j}))
+        s3 = stokes(oam_state({0: 1, 1: -1j})).s3
         assert s3 == pytest.approx(-1.0, abs=1e-12)
 
 

@@ -20,11 +20,14 @@ an element does to each basis mode is computed once per (element, K) and
 kept in a bounded LRU (see ACTION_CACHE_SIZE); the built-in setups are built
 once per process.
 
-The dense oracle reads `_key_action` itself, never that cache.  No element
-mixes more than two modes into one, so each element is a row step on the
-dense basis, x[tgt] = f1 * x[s1] + f2 * x[s2], over the rows of the modes on
-its paths.  `circuit_unitary` steps the rows of the identity; `dense_apply`
-steps the state vector, or the rows (photon 1) and columns (photon 2) of the
+The dense oracle reads neither `_key_action` nor that cache: `_element_rows`
+states each element's action a second time, a whole (path, pol) band of the
+dense basis at a time, and the tests pin the two statements equal.  No
+element mixes more than two modes into one, so each element is a row step:
+x[tgt] = f * x[src] on its one-source rows and x[tgt] = f1 * x[s1] +
+f2 * x[s2] on its two-source rows; rows it leaves as they are are skipped.
+`circuit_unitary` steps the rows of the identity; `dense_apply` steps the
+state vector, or the rows (photon 1) and then the columns (photon 2) of the
 pair matrix, and forms no unitary.
 """
 
@@ -479,36 +482,96 @@ def build_projection(theta: float, variant: str = "tunable_bs") -> Circuit:
 # Dense oracle
 
 
-def _element_rows(elem: Element, basis: ModeBasis) -> tuple[np.ndarray, ...]:
-    """The rows of the element's unitary that differ from the identity, as
-    arrays (tgt, s1, f1, s2, f2): row tgt[r] is f1[r] at column s1[r] plus
-    f2[r] at column s2[r]; a row with one source has s2 = s1 and f2 = 0.
-    The modes on each of the element's paths are one contiguous index range
-    of the basis (see ModeBasis), so no local basis is built.
+def _element_rows(elem: Element, basis: ModeBasis) -> tuple[tuple, tuple]:
+    """The rows of the element's unitary that differ from the identity, in
+    two groups of index and factor arrays: one-source rows (tgt, src, f),
+    row tgt[r] = f[r] at column src[r], and two-source rows
+    (tgt, s1, f1, s2, f2), row tgt[r] = f1[r] at s1[r] plus f2[r] at s2[r].
+
+    Rows are built a whole (path, pol) band at a time.  Keys sort by
+    (path, pol, m), so mode m of a band sits at its start + m + K, and an m
+    shift that wraps at the band edge is a cyclic shift of those offsets.
     """
+    kind = elem.kind
+    if kind not in _KINDS:
+        raise ValueError(f"unknown element kind {kind!r}")
     k = basis.truncation
-    sources: dict[int, list] = {}
-    for path in elem.paths():
-        start = basis.index(ModeKey(path, H, -k))
-        for j in range(start, start + 2 * (2 * k + 1)):
-            for key, factor, _ in _key_action(elem, basis.key_at(j), k):
-                sources.setdefault(basis.index(key), []).append((j, factor))
-    rows = []
-    for tgt, pairs in sources.items():
-        (s1, f1), (s2, f2) = pairs if len(pairs) > 1 else (pairs[0], (pairs[0][0], 0.0))
-        rows.append((tgt, s1, f1, s2, f2))
-    tgt, s1, f1, s2, f2 = zip(*rows)
-    return (np.array(tgt), np.array(s1), np.array(f1, dtype=complex),
-            np.array(s2), np.array(f2, dtype=complex))
+    span = 2 * k + 1
+    cycle = np.arange(2 * span) % span
+
+    def band(path, pol, shift=0):  # indices of (path, pol, m + shift), m = -K..K
+        s = shift % span
+        return basis.index(ModeKey(path, pol, -k)) + cycle[s:s + span]
+
+    one, two = [], []
+    ins, outs = elem.in_paths, elem.out_paths
+    for inp, out in zip(ins, outs):
+        if out not in ins:  # a mode on an output path is mapped back onto its input
+            one += [(band(inp, pol), band(out, pol), 1.0) for pol in (H, V)]
+    if kind == "bs":
+        t = elem.params["t"]
+        ir = 1j * math.sqrt(max(0.0, 1.0 - t * t))
+        (a, b), (c, d) = ins, outs
+        for pol in (H, V):
+            two += [(band(c, pol), band(a, pol), t, band(b, pol), ir),
+                    (band(d, pol), band(a, pol), ir, band(b, pol), t)]
+    elif kind == "pbs":
+        (a, b), (c, d) = ins, outs
+        one += [(band(c, H), band(a, H), 1.0), (band(d, V), band(a, V), 1j),
+                (band(d, H), band(b, H), 1.0), (band(c, V), band(b, V), 1j)]
+    elif kind == "mirror":
+        one += [(band(outs[0], pol), band(ins[0], pol), 1.0) for pol in (H, V)]
+    else:  # the kinds that act on each input path in place
+        for p in ins:
+            h, v = band(p, H), band(p, V)
+            if kind == "dove":
+                alpha = elem.params["alpha"]
+                f = [cmath.exp(1j * m * alpha) for m in range(-k, k + 1)]
+                one += [(h, h, f), (v, v, f)]
+            elif kind == "phase":
+                f = cmath.exp(1j * elem.params["phi"])
+                one += [(h, h, f), (v, v, f)]
+            elif kind == "hwp":
+                angle = 2.0 * elem.params["theta"]
+                c, s = math.cos(angle), math.sin(angle)
+                two += [(h, h, c, v, s), (v, h, s, v, -c)]
+            elif kind == "spp":
+                q = elem.params["q"]
+                one += [(band(p, H, q), h, 1.0), (band(p, V, q), v, 1.0)]
+            elif kind == "oc_p":  # odd/V -> odd/H; odd/H and even/V -> V at m + 1
+                odd = np.arange(-k, k + 1) % 2 == 1
+                one += [(h, np.where(odd, v, h), 1.0),
+                        (band(p, V, 1), np.where(odd, h, v), 1.0)]
+            else:  # pc_o: V at m -> V at m + 1
+                one.append((band(p, V, 1), v, 1.0))
+    tgt, src, f = _stack(one, 3, span)
+    moved = (tgt != src) | (f != 1.0)  # identity rows leave x as it is
+    return (tgt[moved], src[moved], f[moved]), _stack(two, 5, span)
+
+
+def _stack(rows, width: int, span: int) -> tuple[np.ndarray, ...]:
+    """The `width` columns of a group of band rows as flat arrays; a
+    factor (column 2 or 4) is a scalar or one value per mode of the band."""
+    cols = [np.empty((len(rows), span), dtype=complex if j in (2, 4) else np.intp)
+            for j in range(width)]
+    for i, row in enumerate(rows):
+        for col, value in zip(cols, row):
+            col[i] = value
+    return tuple(col.ravel() for col in cols)
 
 
 def _step(x: np.ndarray, rows) -> None:
-    """x[tgt] = f1 * x[s1] + f2 * x[s2] in place, for a vector or the rows of
-    a matrix: one element applied to the state it holds."""
-    tgt, s1, f1, s2, f2 = rows
+    """One element applied in place to a vector, or to the rows of a matrix:
+    x[tgt] = f * x[src] on the one-source rows and
+    x[tgt] = f1 * x[s1] + f2 * x[s2] on the two-source rows.  Every right-hand
+    side is read before any row is written."""
+    (t1, s1, f1), (t2, a, fa, b, fb) = rows
     if x.ndim == 2:
-        f1, f2 = f1[:, None], f2[:, None]
-    x[tgt] = f1 * x[s1] + f2 * x[s2]
+        f1, fa, fb = f1[:, None], fa[:, None], fb[:, None]
+    one = f1 * x[s1]
+    two = fa * x[a] + fb * x[b]
+    x[t1] = one
+    x[t2] = two
 
 
 def element_matrix(elem: Element, basis: ModeBasis) -> np.ndarray:
@@ -521,7 +584,8 @@ def element_matrix(elem: Element, basis: ModeBasis) -> np.ndarray:
 
 def circuit_unitary(circuit: Circuit, truncation: int) -> tuple[np.ndarray, ModeBasis]:
     """Dense unitary of a whole circuit: each element steps its own rows of
-    the identity, about 2 * t * n multiply-adds for t rows."""
+    the identity, about n multiplies per one-source row and 2 * n
+    multiply-adds per two-source row; rows it leaves unchanged cost nothing."""
     basis = ModeBasis(circuit.paths(), truncation)
     u = np.eye(basis.size, dtype=complex)
     for elem in circuit.elements:
@@ -535,8 +599,9 @@ def dense_apply(circuit: Circuit, state, slot="both"):
 
     Independent verification path for the sparse evolution.  A pair matrix
     holds photon 1 on its rows and photon 2 on its columns, so slot 1 steps
-    the rows of the matrix and slot 2 the rows of its transpose.  The
-    per-photon dense dimension is capped at DENSE_DIM_LIMIT.
+    the rows of the matrix and slot 2 the rows of a contiguous copy of its
+    transpose, each through the whole circuit.  The per-photon dense
+    dimension is capped at DENSE_DIM_LIMIT.
     """
     if not isinstance(state, (PhotonState, TwoPhotonState)):
         raise TypeError(f"cannot apply circuit to {type(state).__name__}")
@@ -544,16 +609,16 @@ def dense_apply(circuit: Circuit, state, slot="both"):
     if pair and slot not in (1, 2, "both"):
         raise ValueError(f"slot must be 1, 2 or 'both', got {slot!r}")
     basis = ModeBasis(circuit.paths() + state.paths(), state.truncation)
-    if pair:
-        x = basis.to_matrix(state)
-        views = {1: (x,), 2: (x.T,), "both": (x, x.T)}[slot]
-    else:
-        x = basis.to_vector(state)
-        views = (x,)
-    for elem in circuit.elements:
-        rows = _element_rows(elem, basis)
-        for view in views:
-            _step(view, rows)
+    steps = [_element_rows(elem, basis) for elem in circuit.elements]
+    x = basis.to_matrix(state) if pair else basis.to_vector(state)
+    if not pair or slot != 2:
+        for rows in steps:
+            _step(x, rows)
+    if pair and slot != 1:
+        x = np.ascontiguousarray(x.T)
+        for rows in steps:
+            _step(x, rows)
+        x = x.T
     return basis.from_matrix(x) if pair else basis.from_vector(x)
 
 

@@ -394,6 +394,13 @@ class SpectrumModel:
 # Dense basis (verification oracle backbone)
 
 
+def _kept(x: np.ndarray) -> np.ndarray:
+    """Entries a state could keep: none below PRUNE_EPS / 2 in magnitude, so
+    roundoff never reaches the state constructor, which makes the exact
+    PRUNE_EPS decision; a NaN is kept, as the constructor keeps it."""
+    return ~(np.abs(x) < PRUNE_EPS / 2)
+
+
 class ModeBasis:
     """Dense index over every (path, pol, m) mode for a fixed path set and band.
 
@@ -437,7 +444,7 @@ class ModeBasis:
         return vec
 
     def from_vector(self, vec: np.ndarray) -> PhotonState:
-        amps = {self._keys[i]: vec[i] for i in np.flatnonzero(np.abs(vec) > 0.0)}
+        amps = {self._keys[i]: vec[i] for i in np.flatnonzero(_kept(vec))}
         return PhotonState(amps, self.truncation)
 
     def to_matrix(self, state: TwoPhotonState) -> np.ndarray:
@@ -447,10 +454,9 @@ class ModeBasis:
         return mat
 
     def from_matrix(self, mat: np.ndarray) -> TwoPhotonState:
-        amps = {}
-        rows, cols = np.nonzero(np.abs(mat) > 0.0)
-        for r, c in zip(rows, cols):
-            amps[(self._keys[r], self._keys[c])] = mat[r, c]
+        keys = self._keys
+        rows, cols = np.nonzero(_kept(mat))
+        amps = {(keys[r], keys[c]): mat[r, c] for r, c in zip(rows, cols)}
         return TwoPhotonState(amps, self.truncation)
 
 

@@ -554,6 +554,30 @@ class TestDenseOracle:
         assert np.array_equal(u[:, off], np.eye(basis.size)[:, off])
         assert np.array_equal(u[off, :], np.eye(basis.size)[off, :])
 
+    # The band rules, at odd and even K: the gates and the plates wrap m at
+    # the band edge, and q = 2 at K = 1 shifts a band of 3 modes by 2.
+    BAND_RULE_CASES = (*ONE_OF_EACH_KIND, *(spiral_phase_plate("p5", q) for q in (-2, -1, 1)))
+
+    @pytest.mark.parametrize("truncation", [1, 2, 3, 4])
+    @pytest.mark.parametrize("elem", BAND_RULE_CASES,
+                             ids=lambda e: e.kind + str(e.params.get("q", "")))
+    def test_band_rules_equal_the_per_mode_reference(self, elem, truncation):
+        basis = ModeBasis(pool_paths() + ("q",), truncation)
+        want = reference_element_matrix(elem, basis)
+        assert np.array_equal(element_matrix(elem, basis), want)
+
+    @pytest.mark.parametrize("truncation", [1, 2])
+    @pytest.mark.parametrize("elem", BAND_RULE_CASES,
+                             ids=lambda e: e.kind + str(e.params.get("q", "")))
+    def test_rows_write_each_target_once_from_at_most_two_sources(self, elem, truncation):
+        basis = ModeBasis(pool_paths(), truncation)
+        (tgt, src, f), (tgt2, s1, _, s2, _) = elements._element_rows(elem, basis)
+        targets = np.concatenate([tgt, tgt2])
+        assert len(set(targets.tolist())) == len(targets) > 0
+        assert not np.any((tgt == src) & (f == 1.0))  # no identity row
+        assert np.all(s1 != s2)  # a two-source row has two distinct sources
+        assert {basis.key_at(i).path for i in targets} <= set(elem.paths())
+
     def test_unknown_element_kind_raises(self):
         elem = Element("prism", ("p0",), ("p0",))
         basis = ModeBasis(("p0",), 1)

@@ -254,6 +254,36 @@ class TestModeBasis:
         with pytest.raises(ValueError, match="exceeds limit"):
             ModeBasis(("in",), 10 ** 6)
 
+    # Around the prune threshold: zeros, below PRUNE_EPS / 2, between
+    # PRUNE_EPS / 2 and PRUNE_EPS, above it, and a NaN, which a state keeps.
+    EDGE_VALUES = (0.0, -0.0, 1e-16, 0.7e-15j, -1.2e-15, complex(math.nan, 0.0), 0.6)
+
+    @staticmethod
+    def assert_same_state(got, want):
+        assert list(got.amplitudes) == list(want.amplitudes)
+        assert np.array_equal(list(got.amplitudes.values()),
+                              list(want.amplitudes.values()), equal_nan=True)
+
+    def test_from_vector_keeps_what_the_constructor_keeps(self):
+        basis = ModeBasis(("in",), 3)
+        vec = np.zeros(basis.size, dtype=complex)
+        vec[:len(self.EDGE_VALUES)] = self.EDGE_VALUES
+        got = basis.from_vector(vec)
+        want = PhotonState({basis.key_at(i): vec[i] for i in range(basis.size)}, 3)
+        self.assert_same_state(got, want)
+        assert len(got) == 3 and math.isnan(got.get(basis.key_at(5)).real)
+
+    def test_from_matrix_keeps_what_the_constructor_keeps(self):
+        basis = ModeBasis(("in",), 2)
+        mat = np.zeros((basis.size, basis.size), dtype=complex)
+        mat[0, :len(self.EDGE_VALUES)] = self.EDGE_VALUES
+        mat[1:1 + len(self.EDGE_VALUES), -1] = self.EDGE_VALUES
+        got = basis.from_matrix(mat)
+        want = TwoPhotonState({(basis.key_at(r), basis.key_at(c)): mat[r, c]
+                               for r in range(basis.size) for c in range(basis.size)}, 2)
+        self.assert_same_state(got, want)
+        assert len(got) == 6 and math.isnan(got.get((basis.key_at(0), basis.key_at(5))).real)
+
 
 class TestCoeffRows:
     def test_two_and_three_column_rows_sum_repeated_m(self):

@@ -20,15 +20,19 @@ an element does to each basis mode is computed once per (element, K) and
 kept in a bounded LRU (see ACTION_CACHE_SIZE); the built-in setups are built
 once per process.
 
-The dense oracle reads neither `_key_action` nor that cache: `_element_rows`
-states each element's action a second time, a whole (path, pol) band of the
-dense basis at a time, and the tests pin the two statements equal.  No
+The dense oracle reads neither `_key_action` nor that cache: `_band_rules`
+states each element's action a second time, as rules on whole (path, pol)
+bands of the dense basis, and the tests pin the two statements equal.  No
 element mixes more than two modes into one, so each element is a row step:
 x[tgt] = f * x[src] on its one-source rows and x[tgt] = f1 * x[s1] +
 f2 * x[s2] on its two-source rows; rows it leaves as they are are skipped.
-`circuit_unitary` steps the rows of the identity; `dense_apply` steps the
-state vector, or the rows (photon 1) and then the columns (photon 2) of the
-pair matrix, and forms no unitary.
+`_circuit_rows` expands the rules of a whole circuit into those rows at
+once.  `circuit_unitary` steps the rows of the identity; `dense_apply`
+steps the state vector, or a pair's amplitude matrix only where it has
+support: photon 1 on the rows of a block whose columns are the photon-2
+modes holding amplitude, then photon 2 on the rows of a block whose columns
+are the photon-1 modes left with amplitude.  It forms no unitary and no
+n x n pair matrix.
 """
 
 from __future__ import annotations
@@ -482,82 +486,118 @@ def build_projection(theta: float, variant: str = "tunable_bs") -> Circuit:
 # Dense oracle
 
 
-def _element_rows(elem: Element, basis: ModeBasis) -> tuple[tuple, tuple]:
-    """The rows of the element's unitary that differ from the identity, in
-    two groups of index and factor arrays: one-source rows (tgt, src, f),
-    row tgt[r] = f[r] at column src[r], and two-source rows
-    (tgt, s1, f1, s2, f2), row tgt[r] = f1[r] at s1[r] plus f2[r] at s2[r].
+def _band_rules(elem: Element, basis: ModeBasis) -> tuple[list, list]:
+    """The element's action as rules on whole (path, pol) bands.
 
-    Rows are built a whole (path, pol) band at a time.  Keys sort by
-    (path, pol, m), so mode m of a band sits at its start + m + K, and an m
-    shift that wraps at the band edge is a cyclic shift of those offsets.
+    Keys sort by (path, pol, m), so band b = 2 * (position of the path in
+    `basis.paths`) + [pol == V] holds mode m at b * (2K + 1) + m + K.  A
+    one-source rule (tb, shift, sb_even, sb_odd, f) writes row
+    (tb, m + shift) as f times (sb, m) for m = -K..K, where sb is sb_even
+    at even m and sb_odd at odd m, and the shift wraps cyclically at the
+    band edge; f is a scalar or a list of one value per m.  A two-source
+    rule (tb, sb1, sb2, f1, f2) writes row (tb, m) as f1 times (sb1, m) plus
+    f2 times (sb2, m).
     """
     kind = elem.kind
     if kind not in _KINDS:
         raise ValueError(f"unknown element kind {kind!r}")
     k = basis.truncation
     span = 2 * k + 1
-    cycle = np.arange(2 * span) % span
+    position = basis.paths.index
 
-    def band(path, pol, shift=0):  # indices of (path, pol, m + shift), m = -K..K
-        s = shift % span
-        return basis.index(ModeKey(path, pol, -k)) + cycle[s:s + span]
+    def band(path, pol):
+        return 2 * position(path) + (pol == V)
 
     one, two = [], []
     ins, outs = elem.in_paths, elem.out_paths
     for inp, out in zip(ins, outs):
         if out not in ins:  # a mode on an output path is mapped back onto its input
-            one += [(band(inp, pol), band(out, pol), 1.0) for pol in (H, V)]
+            one += [(band(inp, pol), 0, band(out, pol), band(out, pol), 1.0)
+                    for pol in (H, V)]
     if kind == "bs":
         t = elem.params["t"]
         ir = 1j * math.sqrt(max(0.0, 1.0 - t * t))
         (a, b), (c, d) = ins, outs
         for pol in (H, V):
-            two += [(band(c, pol), band(a, pol), t, band(b, pol), ir),
-                    (band(d, pol), band(a, pol), ir, band(b, pol), t)]
+            two += [(band(c, pol), band(a, pol), band(b, pol), t, ir),
+                    (band(d, pol), band(a, pol), band(b, pol), ir, t)]
     elif kind == "pbs":
         (a, b), (c, d) = ins, outs
-        one += [(band(c, H), band(a, H), 1.0), (band(d, V), band(a, V), 1j),
-                (band(d, H), band(b, H), 1.0), (band(c, V), band(b, V), 1j)]
+        for tgt, src, pol, f in ((c, a, H, 1.0), (d, a, V, 1j), (d, b, H, 1.0), (c, b, V, 1j)):
+            one.append((band(tgt, pol), 0, band(src, pol), band(src, pol), f))
     elif kind == "mirror":
-        one += [(band(outs[0], pol), band(ins[0], pol), 1.0) for pol in (H, V)]
+        one += [(band(outs[0], pol), 0, band(ins[0], pol), band(ins[0], pol), 1.0)
+                for pol in (H, V)]
     else:  # the kinds that act on each input path in place
+        if kind == "dove":
+            alpha = elem.params["alpha"]
+            f = [cmath.exp(1j * m * alpha) for m in range(-k, k + 1)]
+        elif kind == "phase":
+            f = cmath.exp(1j * elem.params["phi"])
+        elif kind == "hwp":
+            angle = 2.0 * elem.params["theta"]
+            c, s = math.cos(angle), math.sin(angle)
         for p in ins:
             h, v = band(p, H), band(p, V)
-            if kind == "dove":
-                alpha = elem.params["alpha"]
-                f = [cmath.exp(1j * m * alpha) for m in range(-k, k + 1)]
-                one += [(h, h, f), (v, v, f)]
-            elif kind == "phase":
-                f = cmath.exp(1j * elem.params["phi"])
-                one += [(h, h, f), (v, v, f)]
+            if kind in ("dove", "phase"):
+                one += [(h, 0, h, h, f), (v, 0, v, v, f)]
             elif kind == "hwp":
-                angle = 2.0 * elem.params["theta"]
-                c, s = math.cos(angle), math.sin(angle)
-                two += [(h, h, c, v, s), (v, h, s, v, -c)]
+                two += [(h, h, v, c, s), (v, h, v, s, -c)]
             elif kind == "spp":
-                q = elem.params["q"]
-                one += [(band(p, H, q), h, 1.0), (band(p, V, q), v, 1.0)]
+                q = elem.params["q"] % span
+                one += [(h, q, h, h, 1.0), (v, q, v, v, 1.0)]
             elif kind == "oc_p":  # odd/V -> odd/H; odd/H and even/V -> V at m + 1
-                odd = np.arange(-k, k + 1) % 2 == 1
-                one += [(h, np.where(odd, v, h), 1.0),
-                        (band(p, V, 1), np.where(odd, h, v), 1.0)]
+                one += [(h, 0, h, v, 1.0), (v, 1, v, h, 1.0)]
             else:  # pc_o: V at m -> V at m + 1
-                one.append((band(p, V, 1), v, 1.0))
-    tgt, src, f = _stack(one, 3, span)
+                one.append((v, 1, v, v, 1.0))
+    return one, two
+
+
+def _circuit_rows(elems, basis: ModeBasis) -> list[tuple[tuple, tuple]]:
+    """Each element's rows that differ from the identity, in two groups of
+    index and factor arrays: one-source rows (tgt, src, f), row tgt[r] =
+    f[r] at column src[r], and two-source rows (tgt, s1, f1, s2, f2), row
+    tgt[r] = f1[r] at s1[r] plus f2[r] at s2[r].
+
+    The band rules of all the elements expand together, one broadcast over
+    (rule, m) per group; each element's rows are then a slice of the flat
+    arrays.
+    """
+    k = basis.truncation
+    span = 2 * k + 1
+    off = np.arange(span)
+    one, two, ends1, ends2 = [], [], [0], [0]
+    for elem in elems:
+        rules1, rules2 = _band_rules(elem, basis)
+        one += rules1
+        two += rules2
+        ends1.append(len(one))
+        ends2.append(span * len(two))
+
+    bands = np.array([rule[:4] for rule in one], np.intp).reshape(-1, 4).T[..., None]
+    tb, shift, even_src, odd_src = bands
+    tgt = span * tb + (off + shift) % span
+    src = span * np.where((off - k) % 2 == 1, odd_src, even_src) + off
+    per_m = [i for i, rule in enumerate(one) if type(rule[4]) is list]
+    f = np.array([0.0 if type(rule[4]) is list else rule[4] for rule in one], complex)
+    f = f[:, None].repeat(span, axis=1)
+    if per_m:
+        f[per_m] = [one[i][4] for i in per_m]
     moved = (tgt != src) | (f != 1.0)  # identity rows leave x as it is
-    return (tgt[moved], src[moved], f[moved]), _stack(two, 5, span)
+    ends1 = np.concatenate(([0], np.cumsum(moved.sum(axis=1))))[ends1].tolist()
+    t1, s1, f1 = tgt[moved], src[moved], f[moved]
+
+    bands = np.array([rule[:3] for rule in two], np.intp).reshape(-1, 3, 1)
+    t2, a, b = (span * bands + off).transpose(1, 0, 2).reshape(3, -1)
+    fa, fb = np.array([rule[3:] for rule in two], complex).reshape(-1, 2).T.repeat(span, 1)
+
+    return [((t1[i:j], s1[i:j], f1[i:j]), (t2[p:q], a[p:q], fa[p:q], b[p:q], fb[p:q]))
+            for i, j, p, q in zip(ends1, ends1[1:], ends2, ends2[1:])]
 
 
-def _stack(rows, width: int, span: int) -> tuple[np.ndarray, ...]:
-    """The `width` columns of a group of band rows as flat arrays; a
-    factor (column 2 or 4) is a scalar or one value per mode of the band."""
-    cols = [np.empty((len(rows), span), dtype=complex if j in (2, 4) else np.intp)
-            for j in range(width)]
-    for i, row in enumerate(rows):
-        for col, value in zip(cols, row):
-            col[i] = value
-    return tuple(col.ravel() for col in cols)
+def _element_rows(elem: Element, basis: ModeBasis) -> tuple[tuple, tuple]:
+    """The rows of one element (see `_circuit_rows`)."""
+    return _circuit_rows((elem,), basis)[0]
 
 
 def _step(x: np.ndarray, rows) -> None:
@@ -588,20 +628,22 @@ def circuit_unitary(circuit: Circuit, truncation: int) -> tuple[np.ndarray, Mode
     multiply-adds per two-source row; rows it leaves unchanged cost nothing."""
     basis = ModeBasis(circuit.paths(), truncation)
     u = np.eye(basis.size, dtype=complex)
-    for elem in circuit.elements:
-        _step(u, _element_rows(elem, basis))
+    for rows in _circuit_rows(circuit.elements, basis):
+        _step(u, rows)
     return u, basis
 
 
 def dense_apply(circuit: Circuit, state, slot="both"):
-    """Apply a circuit to the state's dense vector or pair matrix, element by
-    element; no unitary is formed.
+    """Apply a circuit to the state's dense vector, or to a pair's amplitude
+    matrix where it has support, element by element; no unitary is formed.
 
-    Independent verification path for the sparse evolution.  A pair matrix
-    holds photon 1 on its rows and photon 2 on its columns, so slot 1 steps
-    the rows of the matrix and slot 2 the rows of a contiguous copy of its
-    transpose, each through the whole circuit.  The per-photon dense
-    dimension is capped at DENSE_DIM_LIMIT.
+    Independent verification path for the sparse evolution.  A pair is
+    stepped as a block of its matrix: photon 1 on the n rows and, on the
+    columns, only the photon-2 modes that hold amplitude.  Each column steps
+    on its own and an all-zero column stays zero, so the block gives exactly
+    the matrix's values.  For photon 2 the block turns over: the photon-1
+    modes left with amplitude become its columns and photon 2 its rows.  The
+    per-photon dense dimension is capped at DENSE_DIM_LIMIT.
     """
     if not isinstance(state, (PhotonState, TwoPhotonState)):
         raise TypeError(f"cannot apply circuit to {type(state).__name__}")
@@ -609,17 +651,29 @@ def dense_apply(circuit: Circuit, state, slot="both"):
     if pair and slot not in (1, 2, "both"):
         raise ValueError(f"slot must be 1, 2 or 'both', got {slot!r}")
     basis = ModeBasis(circuit.paths() + state.paths(), state.truncation)
-    steps = [_element_rows(elem, basis) for elem in circuit.elements]
-    x = basis.to_matrix(state) if pair else basis.to_vector(state)
-    if not pair or slot != 2:
+    steps = _circuit_rows(circuit.elements, basis)
+
+    def run(x):
         for rows in steps:
             _step(x, rows)
-    if pair and slot != 1:
-        x = np.ascontiguousarray(x.T)
-        for rows in steps:
-            _step(x, rows)
-        x = x.T
-    return basis.from_matrix(x) if pair else basis.from_vector(x)
+
+    if not pair:
+        x = basis.to_vector(state)
+        run(x)
+        return basis.from_vector(x)
+    i1, i2, amps = basis.pair_entries(state)
+    cols, col = np.unique(i2, return_inverse=True)
+    x = np.zeros((basis.size, cols.size), dtype=complex)
+    x[i1, col] = amps
+    if slot != 2:
+        run(x)
+    if slot == 1:
+        return basis.from_matrix(x, cols=cols)
+    rows = np.flatnonzero((x != 0).any(axis=1))  # a NaN counts as amplitude
+    y = np.zeros((basis.size, rows.size), dtype=complex)
+    y[cols] = x[rows].T
+    run(y)
+    return basis.from_matrix(y.T, rows=rows)
 
 
 # ---------------------------------------------------------------------------

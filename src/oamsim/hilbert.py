@@ -11,6 +11,8 @@ so instances are safe to share read-only across threads.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -406,8 +408,10 @@ class ModeBasis:
 
     Used by the dense oracle: sparse circuit evolution must agree with
     stepping a dense vector through each element's rows.  Keys sort by
-    (path, pol, m), so each path's 2 * (2K + 1) modes are one contiguous
-    index range, starting at (path, H, -K).
+    (path, pol, m), so the 2K + 1 modes of a (path, pol) band are one
+    contiguous index range, starting at (2 * position of the path in `paths`
+    + [pol == V]) * (2K + 1).  The key list and the key index are built on
+    first use; `circuit_unitary` reads neither.
     """
 
     def __init__(self, paths: Iterable[str], truncation: int):
@@ -419,17 +423,21 @@ class ModeBasis:
         if dim > DENSE_DIM_LIMIT:
             raise ValueError(
                 f"dense dimension {dim} exceeds limit {DENSE_DIM_LIMIT}")
-        keys = [ModeKey(p, pol, m)
-                for p in self.paths
-                for pol in POLARIZATIONS
-                for m in range(-self.truncation, self.truncation + 1)]
-        keys.sort()
-        self._keys = keys
-        self._index = {key: i for i, key in enumerate(keys)}
+        self._size = dim
+
+    @functools.cached_property
+    def _keys(self) -> list[ModeKey]:
+        # paths, POLARIZATIONS and the m range are each sorted, so the product is too
+        ms = range(-self.truncation, self.truncation + 1)
+        return list(map(ModeKey._make, itertools.product(self.paths, POLARIZATIONS, ms)))
+
+    @functools.cached_property
+    def _index(self) -> dict[ModeKey, int]:
+        return dict(zip(self._keys, range(self._size)))
 
     @property
     def size(self) -> int:
-        return len(self._keys)
+        return self._size
 
     def index(self, key: ModeKey) -> int:
         return self._index[key]
@@ -444,20 +452,39 @@ class ModeBasis:
         return vec
 
     def from_vector(self, vec: np.ndarray) -> PhotonState:
-        amps = {self._keys[i]: vec[i] for i in np.flatnonzero(_kept(vec))}
+        idx = np.flatnonzero(_kept(vec))
+        keys = self._keys
+        amps = dict(zip([keys[i] for i in idx.tolist()], vec[idx].tolist()))
         return PhotonState(amps, self.truncation)
+
+    def pair_entries(self, state: TwoPhotonState) -> tuple[np.ndarray, ...]:
+        """A pair's terms as three arrays: photon-1 index, photon-2 index and
+        amplitude."""
+        index, amps = self._index, state.amplitudes
+        n = len(amps)
+        i1 = np.fromiter((index[k1] for k1, _ in amps), np.intp, n)
+        i2 = np.fromiter((index[k2] for _, k2 in amps), np.intp, n)
+        return i1, i2, np.fromiter(amps.values(), complex, n)
 
     def to_matrix(self, state: TwoPhotonState) -> np.ndarray:
         mat = np.zeros((self.size, self.size), dtype=complex)
-        for (k1, k2), amp in state.amplitudes.items():
-            mat[self._index[k1], self._index[k2]] = amp
+        i1, i2, amps = self.pair_entries(state)
+        mat[i1, i2] = amps
         return mat
 
-    def from_matrix(self, mat: np.ndarray) -> TwoPhotonState:
+    def from_matrix(self, mat: np.ndarray, rows=None, cols=None) -> TwoPhotonState:
+        """Pair state from its amplitude matrix (photon 1 on the rows), or
+        from a block of it whose row r and column c are the basis modes
+        rows[r] and cols[c]."""
+        r, c = np.nonzero(_kept(mat))
+        values = mat[r, c].tolist()
+        if rows is not None:
+            r = rows[r]
+        if cols is not None:
+            c = cols[c]
         keys = self._keys
-        rows, cols = np.nonzero(_kept(mat))
-        amps = {(keys[r], keys[c]): mat[r, c] for r, c in zip(rows, cols)}
-        return TwoPhotonState(amps, self.truncation)
+        pairs = zip([keys[i] for i in r.tolist()], [keys[i] for i in c.tolist()])
+        return TwoPhotonState(dict(zip(pairs, values)), self.truncation)
 
 
 # ---------------------------------------------------------------------------

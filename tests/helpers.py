@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from oamsim.elements import (
@@ -15,6 +17,11 @@ from oamsim.elements import (
     spiral_phase_plate,
 )
 from oamsim.hilbert import H, V, PhotonState, TwoPhotonState, mode
+
+
+# Around the prune threshold: zeros, below PRUNE_EPS / 2, between
+# PRUNE_EPS / 2 and PRUNE_EPS, above it, and a NaN, which a state keeps.
+EDGE_VALUES = (0.0, -0.0, 1e-16, 0.7e-15j, -1.2e-15, complex(math.nan, 0.0), 0.6)
 
 
 def random_oam_state(rng: np.random.Generator, truncation: int,

@@ -1,6 +1,8 @@
+import cmath
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +51,7 @@ from oamsim.hilbert import (
 )
 from oamsim.soba import build_soba
 from helpers import (
+    EDGE_VALUES,
     pool_paths,
     random_circuit,
     random_full_state,
@@ -643,6 +646,103 @@ class TestDenseRoutesAgree:
             got = basis.to_matrix(dense_apply(circuit, state, slot=slot))
             assert np.abs(got - want).max() <= 1e-12, slot
 
+    # Photon 1 and photon 2 on disjoint path sets, or one of them on a path
+    # ("q") that the circuit never touches, where the unitary is the identity.
+    PAIR_PLACES = {
+        "disjoint": lambda paths: (paths[:2], paths[2:4]),
+        "photon 1 untouched": lambda paths: (("q",), paths[:3]),
+        "photon 2 untouched": lambda paths: (paths[:3], ("q",)),
+    }
+
+    @staticmethod
+    def reference_unitary(circuit, basis):
+        u = np.eye(basis.size, dtype=complex)
+        for elem in circuit.elements:
+            u = reference_element_matrix(elem, basis) @ u
+        return u
+
+    @pytest.mark.parametrize("place", list(PAIR_PLACES))
+    @pytest.mark.parametrize("name,seed,truncation", CASES)
+    def test_pair_on_part_of_the_basis(self, name, seed, truncation, place):
+        circuit, rng = self.circuit_of(name, seed)
+        paths1, paths2 = self.PAIR_PLACES[place](circuit.paths())
+        basis = ModeBasis(circuit.paths() + ("q",), truncation)
+        u = self.reference_unitary(circuit, basis)
+        state = random_entangled_pair(rng, truncation, 64, paths1, paths2)
+        m = basis.to_matrix(state)
+        for slot, want in ((1, u @ m), (2, m @ u.T), ("both", u @ m @ u.T)):
+            got = basis.to_matrix(dense_apply(circuit, state, slot=slot))
+            assert np.abs(got - want).max() <= 1e-12, slot
+
+    @pytest.mark.parametrize("slot", [1, 2, "both"])
+    def test_pair_edge_values_come_out_as_the_constructor_keeps_them(self, slot):
+        """The finite EDGE_VALUES on path "q" for photon 1 against every
+        mode of photon 2 on "in" and the other way round, and the NaN on "q"
+        for both photons, so no element reads it.  The result equals, bit
+        for bit, the state the constructor builds from every entry of the
+        whole pair matrix stepped row by row, and matches the unitary on
+        every other entry."""
+        truncation = 2
+        circuit = build_soba()
+        basis = ModeBasis(circuit.paths() + ("q",), truncation)
+        rng = np.random.default_rng(1240)
+        amps = dict(random_entangled_pair(rng, truncation, 32, ("in",)).amplitudes)
+        in_keys = [mode(m, pol) for pol in (H, V) for m in range(-truncation, truncation + 1)]
+        finite = [value for value in EDGE_VALUES if not cmath.isnan(value)]
+        for j, value in enumerate(finite):
+            pol, m = divmod(j, 2 * truncation + 1)
+            q_key = mode(m - truncation, (H, V)[pol], "q")
+            for key in in_keys:
+                amps[(q_key, key)] = amps[(key, q_key)] = value
+        nan_key = mode(0, H, "q")
+        amps[(nan_key, nan_key)] = complex(math.nan, 0.0)
+        state = TwoPhotonState(amps, truncation)
+        m = basis.to_matrix(state)
+
+        full = m.copy()  # every entry of the pair matrix, stepped row by row
+        for rows in elements._circuit_rows(circuit.elements, basis):
+            if slot != 2:
+                elements._step(full, rows)
+        full = full.T.copy()
+        for rows in elements._circuit_rows(circuit.elements, basis):
+            if slot != 1:
+                elements._step(full, rows)
+        full = full.T
+        want = TwoPhotonState({(basis.key_at(r), basis.key_at(c)): full[r, c]
+                               for r in range(basis.size) for c in range(basis.size)},
+                              truncation)
+        got = dense_apply(circuit, state, slot=slot)
+        assert list(got.amplitudes) == list(want.amplitudes)
+        assert np.array_equal(list(got.amplitudes.values()),
+                              list(want.amplitudes.values()), equal_nan=True)
+
+        u = self.reference_unitary(circuit, basis)
+        nan = np.isnan(m)
+        m[nan] = 0.0
+        dense = {1: u @ m, 2: m @ u.T, "both": u @ m @ u.T}[slot]
+        dense[nan] = math.nan
+        got = basis.to_matrix(got)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.abs(got[~nan] - dense[~nan]).max() <= 1e-12
+
+    def test_pair_peak_memory_stays_below_one_square_matrix(self):
+        """A one-path pair through the analyzer at K = 16 (n = 1056): the
+        pair is stepped where it has support, so the peak traced memory stays
+        below one n x n complex matrix (17.8 MB)."""
+        truncation = 16
+        circuit = build_soba()
+        n = ModeBasis(circuit.paths(), truncation).size
+        assert n == 1056
+        pair = random_entangled_pair(np.random.default_rng(1270), truncation, 2000, ("in",))
+        tracemalloc.start()
+        try:
+            out = dense_apply(circuit, pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) > 0
+        assert peak < n * n * np.dtype(complex).itemsize
+
     def test_pair_slot_must_be_one_two_or_both(self):
         pair = random_entangled_pair(np.random.default_rng(1250), 1, paths=("in",))
         for slot in (0, 3, None):
@@ -707,13 +807,17 @@ def _elements(draw):
     return factory(paths[0], draw(_ANGLES))
 
 
-def random_entangled_pair(rng, truncation, n_terms=16, paths=pool_paths()[:3]):
-    """Random pair over `paths`; generally not a product state."""
-    keys = [mode(m, pol, p) for p in paths for pol in (H, V)
-            for m in range(-truncation, truncation + 1)]
+def random_entangled_pair(rng, truncation, n_terms=16, paths=pool_paths()[:3], paths2=None):
+    """Random pair, photon 1 over `paths` and photon 2 over `paths2` (by
+    default the same paths); generally not a product state."""
+    def keys_on(paths):
+        return [mode(m, pol, p) for p in paths for pol in (H, V)
+                for m in range(-truncation, truncation + 1)]
+    keys1 = keys_on(paths)
+    keys2 = keys1 if paths2 is None else keys_on(paths2)
     amps = {}
-    for a, b in rng.integers(len(keys), size=(n_terms, 2)):
-        amps[(keys[a], keys[b])] = complex(*rng.normal(size=2))
+    for a, b in rng.integers((len(keys1), len(keys2)), size=(n_terms, 2)):
+        amps[(keys1[a], keys2[b])] = complex(*rng.normal(size=2))
     return TwoPhotonState(amps, truncation).normalized()
 
 

@@ -29,7 +29,7 @@ from oamsim.hilbert import (
     parse_coeff_rows,
     state_to_records,
 )
-from helpers import random_two_photon
+from helpers import EDGE_VALUES, random_two_photon
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -254,9 +254,7 @@ class TestModeBasis:
         with pytest.raises(ValueError, match="exceeds limit"):
             ModeBasis(("in",), 10 ** 6)
 
-    # Around the prune threshold: zeros, below PRUNE_EPS / 2, between
-    # PRUNE_EPS / 2 and PRUNE_EPS, above it, and a NaN, which a state keeps.
-    EDGE_VALUES = (0.0, -0.0, 1e-16, 0.7e-15j, -1.2e-15, complex(math.nan, 0.0), 0.6)
+    EDGE_VALUES = EDGE_VALUES
 
     @staticmethod
     def assert_same_state(got, want):

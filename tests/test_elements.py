@@ -620,12 +620,16 @@ class TestDenseRoutesAgree:
         return (every_kind_circuit(rng) if name == "kinds" else build_soba()), rng
 
     @staticmethod
-    def unitary(circuit, truncation):
-        u, basis = circuit_unitary(circuit, truncation)
-        want = np.eye(basis.size, dtype=complex)
+    def reference_unitary(circuit, basis):
+        u = np.eye(basis.size, dtype=complex)
         for elem in circuit.elements:
-            want = reference_element_matrix(elem, basis) @ want
-        assert np.abs(u - want).max() <= 1e-12
+            u = reference_element_matrix(elem, basis) @ u
+        return u
+
+    @classmethod
+    def unitary(cls, circuit, truncation):
+        u, basis = circuit_unitary(circuit, truncation)
+        assert np.abs(u - cls.reference_unitary(circuit, basis)).max() <= 1e-12
         return u, basis
 
     @pytest.mark.parametrize("name,seed,truncation", CASES)
@@ -653,13 +657,6 @@ class TestDenseRoutesAgree:
         "photon 1 untouched": lambda paths: (("q",), paths[:3]),
         "photon 2 untouched": lambda paths: (paths[:3], ("q",)),
     }
-
-    @staticmethod
-    def reference_unitary(circuit, basis):
-        u = np.eye(basis.size, dtype=complex)
-        for elem in circuit.elements:
-            u = reference_element_matrix(elem, basis) @ u
-        return u
 
     @pytest.mark.parametrize("place", list(PAIR_PLACES))
     @pytest.mark.parametrize("name,seed,truncation", CASES)
@@ -700,14 +697,11 @@ class TestDenseRoutesAgree:
         m = basis.to_matrix(state)
 
         full = m.copy()  # every entry of the pair matrix, stepped row by row
-        for rows in elements._circuit_rows(circuit.elements, basis):
-            if slot != 2:
-                elements._step(full, rows)
-        full = full.T.copy()
-        for rows in elements._circuit_rows(circuit.elements, basis):
-            if slot != 1:
-                elements._step(full, rows)
-        full = full.T
+        for photon in (1, 2):
+            if slot in (photon, "both"):
+                for rows in elements._circuit_rows(circuit.elements, basis):
+                    elements._step(full, rows)
+            full = full.T.copy()
         want = TwoPhotonState({(basis.key_at(r), basis.key_at(c)): full[r, c]
                                for r in range(basis.size) for c in range(basis.size)},
                               truncation)

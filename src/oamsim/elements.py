@@ -27,12 +27,15 @@ element mixes more than two modes into one, so each element is a row step:
 x[tgt] = f * x[src] on its one-source rows and x[tgt] = f1 * x[s1] +
 f2 * x[s2] on its two-source rows; rows it leaves as they are are skipped.
 `_circuit_rows` expands the rules of a whole circuit into those rows at
-once.  `circuit_unitary` steps the rows of the identity; `dense_apply`
-steps the state vector, or a pair's amplitude matrix only where it has
-support: photon 1 on the rows of a block whose columns are the photon-2
-modes holding amplitude, then photon 2 on the rows of a block whose columns
-are the photon-1 modes left with amplitude.  It forms no unitary and no
-n x n pair matrix.
+once.  `dense_apply` steps the state vector, or a pair's amplitude matrix
+only where it has support: photon 1 on the rows of a block whose columns
+are the photon-2 modes holding amplitude, then photon 2 on the rows of a
+block whose columns are the photon-1 modes left with amplitude.  It forms
+no unitary and no n x n pair matrix.  `circuit_unitary` builds the unitary
+on its support, as a generalized permutation G times a sparse W: a
+one-source row costs O(1), re-pointing a row of G; the two-source rows come
+only from the 2 x 2 mixers of bs and hwp and cost O(entries of W they
+read); the one n x n array is the output, written by one scatter.
 """
 
 from __future__ import annotations
@@ -104,6 +107,7 @@ class Element:
 
     def __post_init__(self):
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        _check_ports(self.kind, self.in_paths, self.out_paths)
 
     def __reduce__(self):  # a mappingproxy does not pickle; its dict does
         return type(self), (self.kind, self.in_paths, self.out_paths, dict(self.params))
@@ -112,9 +116,25 @@ class Element:
         return tuple(dict.fromkeys(self.in_paths + self.out_paths))
 
 
-def _require_disjoint(in_paths, out_paths) -> None:
-    if set(in_paths) & set(out_paths):
-        raise ValueError("input and output paths must be distinct")
+def _check_ports(kind: str, in_paths, out_paths) -> None:
+    """Reject a port layout that no element of `kind` can have.
+
+    bs and pbs take two input and two output paths and mirror one of each,
+    all distinct; the other kinds act in place, so their output paths are
+    their input paths, pairwise distinct.  An unknown kind is left to fail
+    where it is applied.
+    """
+    if kind in _ARITY:
+        arity = _ARITY[kind]
+        if len(in_paths) != arity or len(out_paths) != arity:
+            raise ValueError(f"{kind} takes {arity} input and {arity} output paths")
+        if set(in_paths) & set(out_paths):
+            raise ValueError("mirror must relabel the path" if kind == "mirror"
+                             else "input and output paths must be distinct")
+    elif kind not in _KINDS:
+        return
+    elif out_paths != in_paths:
+        raise ValueError(f"{kind} acts in place: its output paths must be its input paths")
     if len(set(in_paths)) != len(in_paths) or len(set(out_paths)) != len(out_paths):
         raise ValueError("port paths must be pairwise distinct")
 
@@ -137,14 +157,12 @@ def beam_splitter(in_a: str, in_b: str, out_a: str, out_b: str,
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmission amplitude must lie in [0, 1], got {t}")
-    _require_disjoint((in_a, in_b), (out_a, out_b))
     r = math.sqrt(max(0.0, 1.0 - t * t))
     _assert_local_unitary(t, 1j * r, 1j * r, t)
     return Element("bs", (in_a, in_b), (out_a, out_b), {"t": t})
 
 
 def polarizing_bs(in_a: str, in_b: str, out_a: str, out_b: str) -> Element:
-    _require_disjoint((in_a, in_b), (out_a, out_b))
     return Element("pbs", (in_a, in_b), (out_a, out_b))
 
 
@@ -176,8 +194,6 @@ def phase_delay(path: str, phi: float) -> Element:
 
 
 def mirror(in_path: str, out_path: str) -> Element:
-    if in_path == out_path:
-        raise ValueError("mirror must relabel the path")
     return Element("mirror", (in_path,), (out_path,))
 
 
@@ -188,6 +204,7 @@ def _wrap_m(m: int, truncation: int) -> tuple[int, bool]:
 
 
 _KINDS = frozenset(("bs", "pbs", "dove", "spp", "hwp", "phase", "mirror", "oc_p", "pc_o"))
+_ARITY = {"bs": 2, "pbs": 2, "mirror": 1}  # the kinds with distinct input and output paths
 
 
 def _key_action(elem: Element, key: ModeKey, truncation: int):
@@ -623,13 +640,60 @@ def element_matrix(elem: Element, basis: ModeBasis) -> np.ndarray:
 
 
 def circuit_unitary(circuit: Circuit, truncation: int) -> tuple[np.ndarray, ModeBasis]:
-    """Dense unitary of a whole circuit: each element steps its own rows of
-    the identity, about n multiplies per one-source row and 2 * n
-    multiply-adds per two-source row; rows it leaves unchanged cost nothing."""
+    """Dense unitary of a whole circuit, built on its support as U = G W.
+
+    G is a generalized permutation, row i of U being g[i] times row p[i] of
+    W, and W a sparse matrix whose entries (row, col, value) are kept as a
+    key row * n + col and a value; it starts as the identity.  A one-source
+    row only re-points G: p[t] = p[s] and g[t] = f * g[s].  Two-source rows
+    come only from local 2 x 2 mixers (bs on a path pair, hwp on H and V):
+    their sources are among the element's targets, no one-source row reads
+    them and they are as many as the targets, so the W rows they point to
+    are free once the element is applied and take the mixtures, entries on
+    one column summed; an element that breaks this raises ValueError.  The
+    cost is O(1) per one-source row and O(entries read) per two-source row;
+    the one n x n array is the output, written by one scatter.
+    """
     basis = ModeBasis(circuit.paths(), truncation)
-    u = np.eye(basis.size, dtype=complex)
-    for rows in _circuit_rows(circuit.elements, basis):
-        _step(u, rows)
+    n = basis.size
+    p, g = np.arange(n), np.ones(n, complex)
+    wk, wv = np.arange(n) * (n + 1), np.ones(n, complex)
+    for elem, ((t1, s1, f1), (t2, a, fa, b, fb)) in zip(
+            circuit.elements, _circuit_rows(circuit.elements, basis)):
+        moved = p[s1], f1 * g[s1]
+        if t2.size:
+            role = np.zeros(n, np.int8)  # 4: mixer source, 1: target, 2: one-source source
+            role[np.concatenate((a, b))] = 4
+            role[np.concatenate((t1, t2))] |= 1
+            role[s1] |= 2
+            src = np.flatnonzero(role & 4)
+            if src.size != t2.size or np.any(role[src] != 5):
+                raise ValueError(f"{elem.kind} mixes rows that stay in use")
+            freed = p[src]  # target t2[r] takes W row freed[r]
+            free = np.zeros(n, bool)
+            free[freed] = True
+            read = free[wk // n]
+            order = np.argsort(wk[read])
+            hk, hv = wk[read][order], wv[read][order]
+            rows = np.concatenate((p[a], p[b])) * n
+            starts = np.searchsorted(hk, rows)
+            lengths = np.searchsorted(hk, rows + n) - starts
+            ends = np.cumsum(lengths)
+            taken = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+            keys = np.repeat(np.concatenate((freed, freed)) * n, lengths) + hk[taken] % n
+            vals = np.repeat(np.concatenate((fa * g[a], fb * g[b])), lengths) * hv[taken]
+            order = np.argsort(keys, kind="stable")
+            keys, vals = keys[order], vals[order]
+            first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            wk = np.concatenate((wk[~read], keys[first]))
+            wv = np.concatenate((wv[~read], np.add.reduceat(vals, first)))
+            p[t2], g[t2] = freed, 1.0
+        p[t1], g[t1] = moved
+    owner = np.empty(n, np.intp)
+    owner[p] = np.arange(n)
+    rows = owner[wk // n]
+    u = np.zeros((n, n), dtype=complex)
+    u[rows, wk % n] = g[rows] * wv
     return u, basis
 
 

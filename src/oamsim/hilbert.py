@@ -411,7 +411,8 @@ class ModeBasis:
     (path, pol, m), so the 2K + 1 modes of a (path, pol) band are one
     contiguous index range, starting at (2 * position of the path in `paths`
     + [pol == V]) * (2K + 1).  The key list and the key index are built on
-    first use; `circuit_unitary` reads neither.
+    first use; `circuit_unitary` reads neither, only `size` and the band
+    starts.
     """
 
     def __init__(self, paths: Iterable[str], truncation: int):

@@ -140,6 +140,36 @@ class TestSingleElements:
         with pytest.raises(ValueError):
             mirror("a", "a")
 
+    # Layouts the constructors cannot make, built as a bare Element: ports
+    # that overlap, arities other than the kind's, and in-place kinds whose
+    # output paths differ from their input paths.
+    INCOHERENT_PORTS = [
+        ("bs", ("a", "b"), ("b", "c"), {"t": SQ2}),
+        ("bs", ("a", "b", "e"), ("c", "d", "f"), {"t": SQ2}),
+        ("bs", ("a",), ("c",), {"t": SQ2}),
+        ("pbs", ("a", "b"), ("c", "a"), {}),
+        ("pbs", ("a", "a"), ("c", "d"), {}),
+        ("mirror", ("a",), ("a",), {}),
+        ("mirror", ("a", "b"), ("c", "d"), {}),
+        ("dove", ("a",), ("b",), {"alpha": 1.0}),
+        ("hwp", ("a", "b"), ("b", "a"), {"theta": 0.3}),
+        ("oc_p", ("a", "a"), ("a", "a"), {}),
+        ("pc_o", ("a",), (), {}),
+    ]
+
+    @pytest.mark.parametrize("kind,ins,outs,params", INCOHERENT_PORTS)
+    def test_incoherent_port_layouts_rejected_when_built(self, kind, ins, outs, params):
+        with pytest.raises(ValueError):
+            Element(kind, ins, outs, params)
+
+    def test_constructor_messages_unchanged(self):
+        with pytest.raises(ValueError, match="input and output paths must be distinct"):
+            polarizing_bs("a", "b", "b", "c")
+        with pytest.raises(ValueError, match="port paths must be pairwise distinct"):
+            beam_splitter("a", "a", "c", "d")
+        with pytest.raises(ValueError, match="mirror must relabel the path"):
+            mirror("a", "a")
+
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_non_finite_wave_plate_angle_rejected(self, theta):
         with pytest.raises(ValueError):
@@ -581,6 +611,64 @@ class TestDenseOracle:
         assert np.all(s1 != s2)  # a two-source row has two distinct sources
         assert {basis.key_at(i).path for i in targets} <= set(elem.paths())
 
+    @pytest.mark.parametrize("truncation", [1, 2])
+    @pytest.mark.parametrize("elem", BAND_RULE_CASES,
+                             ids=lambda e: e.kind + str(e.params.get("q", "")))
+    def test_two_source_rows_are_local_mixers(self, elem, truncation):
+        """What circuit_unitary relies on: the two-source rows read as many
+        distinct rows as they write, all of them rows the element rewrites,
+        and no one-source row reads any of them."""
+        basis = ModeBasis(pool_paths(), truncation)
+        (tgt, src, _), (tgt2, s1, _, s2, _) = elements._element_rows(elem, basis)
+        sources = set(np.concatenate([s1, s2]).tolist())
+        assert len(sources) == len(tgt2)
+        assert sources <= set(np.concatenate([tgt, tgt2]).tolist())
+        assert not sources & set(src.tolist())
+        assert (len(tgt2) > 0) == (elem.kind in ("bs", "hwp"))
+
+    @pytest.mark.parametrize("break_rows", ["source off the targets", "too few sources",
+                                            "source read by a one-source row"])
+    def test_circuit_unitary_rejects_rows_that_are_no_local_mixer(self, monkeypatch,
+                                                                   break_rows):
+        circuit = Circuit("bs", (beam_splitter("p0", "p1", "p2", "p3", t=0.3),
+                                 phase_delay("q", 0.5)), "p0", ())
+        real = elements._circuit_rows
+
+        def broken(elems, basis):
+            out = []
+            for (t1, s1, f1), (t2, a, fa, b, fb) in real(elems, basis):
+                if not t2.size:
+                    pass
+                elif break_rows == "source off the targets":
+                    a = a.copy()
+                    a[0] = basis.size - 1  # a mode on q, which the splitter leaves as it is
+                elif break_rows == "too few sources":
+                    b = a.copy()
+                else:
+                    s1 = s1.copy()
+                    s1[0] = a[0]
+                out.append(((t1, s1, f1), (t2, a, fa, b, fb)))
+            return out
+
+        monkeypatch.setattr(elements, "_circuit_rows", broken)
+        with pytest.raises(ValueError, match="bs mixes rows"):
+            circuit_unitary(circuit, 1)
+
+    def test_circuit_unitary_peak_memory_is_its_output(self):
+        """The analyzer at K = 16 (n = 1056): the unitary is built on its
+        support and written by one scatter, so the peak traced memory stays
+        within 1.25 times the output matrix (17.0 MiB)."""
+        circuit = build_soba()
+        circuit_unitary(circuit, 1)
+        tracemalloc.start()
+        try:
+            u, basis = circuit_unitary(circuit, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.size == 1056
+        assert peak <= 1.25 * u.nbytes, (peak, u.nbytes)
+
     def test_unknown_element_kind_raises(self):
         elem = Element("prism", ("p0",), ("p0",))
         basis = ModeBasis(("p0",), 1)
@@ -817,7 +905,8 @@ def random_entangled_pair(rng, truncation, n_terms=16, paths=pool_paths()[:3], p
 
 class TestRandomCircuitProperty:
     """Random circuits of every kind, edge parameters included, preserve the
-    norm, and the sparse evolution equals the dense oracle."""
+    norm, the sparse evolution equals the dense oracle, and circuit_unitary
+    equals the product of the column-by-column reference matrices."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -839,3 +928,6 @@ class TestRandomCircuitProperty:
         basis = ModeBasis(circuit.paths() + state.paths(), truncation)
         convert = basis.to_vector if slot is None else basis.to_matrix
         assert np.abs(convert(sparse) - convert(dense)).max() <= 1e-10
+        u, basis = circuit_unitary(circuit, truncation)
+        want = TestDenseRoutesAgree.reference_unitary(circuit, basis)
+        assert np.abs(u - want).max() <= 1e-12

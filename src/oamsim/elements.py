@@ -672,6 +672,8 @@ def circuit_unitary(circuit: Circuit, truncation: int) -> tuple[np.ndarray, Mode
             freed = p[src]  # target t2[r] takes W row freed[r]
             free = np.zeros(n, bool)
             free[freed] = True
+            # The entries of the freed rows, sorted by key, so each row is one
+            # run; every two-source row reads the runs of its two sources.
             read = free[wk // n]
             order = np.argsort(wk[read])
             hk, hv = wk[read][order], wv[read][order]
@@ -682,6 +684,7 @@ def circuit_unitary(circuit: Circuit, truncation: int) -> tuple[np.ndarray, Mode
             taken = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
             keys = np.repeat(np.concatenate((freed, freed)) * n, lengths) + hk[taken] % n
             vals = np.repeat(np.concatenate((fa * g[a], fb * g[b])), lengths) * hv[taken]
+            # Sum what lands on one (row, col), the a side before the b side.
             order = np.argsort(keys, kind="stable")
             keys, vals = keys[order], vals[order]
             first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))

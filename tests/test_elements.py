@@ -133,11 +133,15 @@ class TestSingleElements:
         assert out.get(mode(1, H, "b")) == pytest.approx(1.0)
 
     def test_bad_ports_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="input and output paths must be distinct"):
             beam_splitter("a", "b", "a", "d")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="input and output paths must be distinct"):
+            polarizing_bs("a", "b", "b", "c")
+        with pytest.raises(ValueError, match="port paths must be pairwise distinct"):
+            beam_splitter("a", "a", "c", "d")
+        with pytest.raises(ValueError, match="transmission amplitude"):
             beam_splitter("a", "b", "c", "d", t=1.2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mirror must relabel the path"):
             mirror("a", "a")
 
     # Layouts the constructors cannot make, built as a bare Element: ports
@@ -161,14 +165,6 @@ class TestSingleElements:
     def test_incoherent_port_layouts_rejected_when_built(self, kind, ins, outs, params):
         with pytest.raises(ValueError):
             Element(kind, ins, outs, params)
-
-    def test_constructor_messages_unchanged(self):
-        with pytest.raises(ValueError, match="input and output paths must be distinct"):
-            polarizing_bs("a", "b", "b", "c")
-        with pytest.raises(ValueError, match="port paths must be pairwise distinct"):
-            beam_splitter("a", "a", "c", "d")
-        with pytest.raises(ValueError, match="mirror must relabel the path"):
-            mirror("a", "a")
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_non_finite_wave_plate_angle_rejected(self, theta):
@@ -635,20 +631,16 @@ class TestDenseOracle:
         real = elements._circuit_rows
 
         def broken(elems, basis):
-            out = []
-            for (t1, s1, f1), (t2, a, fa, b, fb) in real(elems, basis):
-                if not t2.size:
-                    pass
-                elif break_rows == "source off the targets":
-                    a = a.copy()
-                    a[0] = basis.size - 1  # a mode on q, which the splitter leaves as it is
-                elif break_rows == "too few sources":
-                    b = a.copy()
-                else:
-                    s1 = s1.copy()
-                    s1[0] = a[0]
-                out.append(((t1, s1, f1), (t2, a, fa, b, fb)))
-            return out
+            rows = real(elems, basis)
+            (t1, s1, f1), (t2, a, fa, b, fb) = rows[0]  # the splitter's
+            if break_rows == "source off the targets":
+                # a mode on q, which the splitter leaves as it is
+                a = np.where(a == a[0], basis.size - 1, a)
+            elif break_rows == "too few sources":
+                b = a
+            else:
+                s1 = np.concatenate(([a[0]], s1[1:]))
+            return [((t1, s1, f1), (t2, a, fa, b, fb)), *rows[1:]]
 
         monkeypatch.setattr(elements, "_circuit_rows", broken)
         with pytest.raises(ValueError, match="bs mixes rows"):

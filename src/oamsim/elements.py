@@ -27,15 +27,22 @@ element mixes more than two modes into one, so each element is a row step:
 x[tgt] = f * x[src] on its one-source rows and x[tgt] = f1 * x[s1] +
 f2 * x[s2] on its two-source rows; rows it leaves as they are are skipped.
 `_circuit_rows` expands the rules of a whole circuit into those rows at
-once.  `dense_apply` steps the state vector, or a pair's amplitude matrix
-only where it has support: photon 1 on the rows of a block whose columns
-are the photon-2 modes holding amplitude, then photon 2 on the rows of a
-block whose columns are the photon-1 modes left with amplitude.  It forms
-no unitary and no n x n pair matrix.  `circuit_unitary` builds the unitary
-on its support, as a generalized permutation G times a sparse W: a
-one-source row costs O(1), re-pointing a row of G; the two-source rows come
-only from the 2 x 2 mixers of bs and hwp and cost O(entries of W they
-read); the one n x n array is the output, written by one scatter.
+once, and keeps them, as read-only arrays, in a bounded LRU of
+ROWS_CACHE_SIZE circuits keyed by each element's `_ident` (kind, ports and
+parameters by repr, the key of the action cache too), the basis paths and
+K; the oracle's bases come from a bounded LRU of BASIS_CACHE_SIZE path sets
+(`hilbert._shared_basis`), so a repeated circuit, or a random circuit
+checked by both `dense_apply` and `circuit_unitary` on one basis, is
+expanded once.  Neither cache changes an output bit.  `dense_apply` steps
+the state vector, or a pair's amplitude matrix only where it has support:
+photon 1 on the rows of a block whose columns are the photon-2 modes
+holding amplitude, then photon 2 on the rows of a block whose columns are
+the photon-1 modes left with amplitude.  It forms no unitary and no n x n
+pair matrix.  `circuit_unitary` builds the unitary on its support, as a
+generalized permutation G times a sparse W: a one-source row costs O(1),
+re-pointing a row of G; the two-source rows come only from the 2 x 2 mixers
+of bs and hwp and cost O(entries of W they read); the one n x n array is
+the output, written by one scatter.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from .hilbert import (
     PhotonState,
     TwoPhotonState,
     _clean_amplitudes,
+    _shared_basis,
 )
 
 __all__ = [
@@ -106,6 +114,8 @@ class Element:
     params: Mapping = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "in_paths", _port_paths(self.in_paths))
+        object.__setattr__(self, "out_paths", _port_paths(self.out_paths))
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         _check_ports(self.kind, self.in_paths, self.out_paths)
 
@@ -114,6 +124,26 @@ class Element:
 
     def paths(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(self.in_paths + self.out_paths))
+
+    @functools.cached_property
+    def _ident(self) -> tuple:
+        """Key of the element's action in the action and rows caches: kind,
+        ports and each parameter by its repr, so values that are == but
+        differ in their bits (0.0 and -0.0) never share an entry."""
+        return (self.kind, self.in_paths, self.out_paths,
+                tuple((name, repr(value)) for name, value in self.params.items()))
+
+
+def _port_paths(paths) -> tuple[str, ...]:
+    """Port paths as a tuple of labels.  A bare string is rejected, since
+    its letters would read as one-letter paths, and so is a non-string
+    label."""
+    if isinstance(paths, str):
+        raise ValueError(f"ports must be a sequence of path labels, got the string {paths!r}")
+    paths = tuple(paths)
+    if not all(isinstance(p, str) for p in paths):
+        raise ValueError(f"path labels must be strings, got {paths!r}")
+    return paths
 
 
 def _check_ports(kind: str, in_paths, out_paths) -> None:
@@ -278,11 +308,7 @@ def _table(ident: tuple) -> dict:
 
 
 def _action_table(elem: Element, truncation: int) -> dict:
-    # Parameters enter by their repr, so values that are == but differ in
-    # their bits (0.0 and -0.0) never share a table.
-    return _table((elem.kind, elem.in_paths, elem.out_paths,
-                   tuple((name, repr(value)) for name, value in elem.params.items()),
-                   truncation))
+    return _table((elem._ident, truncation))
 
 
 def _apply_pass(elem: Element, amps: dict, truncation: int, idx, wrap_guard) -> dict:
@@ -570,7 +596,23 @@ def _band_rules(elem: Element, basis: ModeBasis) -> tuple[list, list]:
     return one, two
 
 
-def _circuit_rows(elems, basis: ModeBasis) -> list[tuple[tuple, tuple]]:
+# Row sets, one per (element idents, basis paths, K), of the most recently
+# used circuits.  One oracle benchmark operation looks up 7.25 on average:
+# three random circuits, each by dense_apply and then by circuit_unitary,
+# and the analyzer at K = 4 (and at K = 8 one time in four).  Measured on 2
+# cores (Python 3.11) over 400 such operations, 2900 lookups: 4 row sets
+# answered 940, 8 answered 1229, 16 answered 1253 and 32 answered 1328 (the
+# K = 8 analyzer then stays between its uses); each row set holds about
+# 25 kB, so 32 instead of 16 would keep 0.4 MB more.
+ROWS_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=ROWS_CACHE_SIZE)
+def _rows_entry(key: tuple) -> list:
+    return []
+
+
+def _circuit_rows(elems, basis: ModeBasis) -> tuple[tuple[tuple, tuple], ...]:
     """Each element's rows that differ from the identity, in two groups of
     index and factor arrays: one-source rows (tgt, src, f), row tgt[r] =
     f[r] at column src[r], and two-source rows (tgt, s1, f1, s2, f2), row
@@ -578,8 +620,14 @@ def _circuit_rows(elems, basis: ModeBasis) -> list[tuple[tuple, tuple]]:
 
     The band rules of all the elements expand together, one broadcast over
     (rule, m) per group; each element's rows are then a slice of the flat
-    arrays.
+    arrays, which are read-only: the rows are kept in a bounded LRU keyed by
+    the elements' idents, the basis paths and K, so `dense_apply` and
+    `circuit_unitary` expand a circuit once on one basis.
     """
+    entry = _rows_entry((tuple(elem._ident for elem in elems), basis.paths,
+                         basis.truncation))
+    if entry:
+        return entry[0]
     k = basis.truncation
     span = 2 * k + 1
     off = np.arange(span)
@@ -607,9 +655,13 @@ def _circuit_rows(elems, basis: ModeBasis) -> list[tuple[tuple, tuple]]:
     bands = np.array([rule[:3] for rule in two], np.intp).reshape(-1, 3, 1)
     t2, a, b = (span * bands + off).transpose(1, 0, 2).reshape(3, -1)
     fa, fb = np.array([rule[3:] for rule in two], complex).reshape(-1, 2).T.repeat(span, 1)
+    for flat in (t1, s1, f1, t2, a, fa, b, fb):
+        flat.flags.writeable = False
 
-    return [((t1[i:j], s1[i:j], f1[i:j]), (t2[p:q], a[p:q], fa[p:q], b[p:q], fb[p:q]))
-            for i, j, p, q in zip(ends1, ends1[1:], ends2, ends2[1:])]
+    rows = tuple(((t1[i:j], s1[i:j], f1[i:j]), (t2[p:q], a[p:q], fa[p:q], b[p:q], fb[p:q]))
+                 for i, j, p, q in zip(ends1, ends1[1:], ends2, ends2[1:]))
+    entry.append(rows)
+    return rows
 
 
 def _element_rows(elem: Element, basis: ModeBasis) -> tuple[tuple, tuple]:
@@ -654,7 +706,7 @@ def circuit_unitary(circuit: Circuit, truncation: int) -> tuple[np.ndarray, Mode
     cost is O(1) per one-source row and O(entries read) per two-source row;
     the one n x n array is the output, written by one scatter.
     """
-    basis = ModeBasis(circuit.paths(), truncation)
+    basis = _shared_basis(circuit.paths(), truncation)
     n = basis.size
     p, g = np.arange(n), np.ones(n, complex)
     wk, wv = np.arange(n) * (n + 1), np.ones(n, complex)
@@ -717,7 +769,7 @@ def dense_apply(circuit: Circuit, state, slot="both"):
     pair = isinstance(state, TwoPhotonState)
     if pair and slot not in (1, 2, "both"):
         raise ValueError(f"slot must be 1, 2 or 'both', got {slot!r}")
-    basis = ModeBasis(circuit.paths() + state.paths(), state.truncation)
+    basis = _shared_basis(circuit.paths() + state.paths(), state.truncation)
     steps = _circuit_rows(circuit.elements, basis)
 
     def run(x):

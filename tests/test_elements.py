@@ -9,9 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oamsim import elements
+from oamsim import elements, hilbert
 from oamsim.elements import (
     ACTION_CACHE_SIZE,
+    ROWS_CACHE_SIZE,
     WRAP_GUARD,
     Circuit,
     Element,
@@ -42,6 +43,8 @@ from oamsim.elements import (
     spiral_phase_plate,
 )
 from oamsim.hilbert import (
+    BASIS_CACHE_SIZE,
+    DENSE_DIM_LIMIT,
     H,
     V,
     ModeBasis,
@@ -159,12 +162,48 @@ class TestSingleElements:
         ("hwp", ("a", "b"), ("b", "a"), {"theta": 0.3}),
         ("oc_p", ("a", "a"), ("a", "a"), {}),
         ("pc_o", ("a",), (), {}),
+        # a bare string, whose letters would read as paths "a" and "b"
+        ("dove", "ab", "ab", {"alpha": 1.0}),
+        ("mirror", ("a",), "b", {}),
+        # labels that are no strings
+        ("mirror", ("a",), (1,), {}),
+        ("oc_p", (None,), (None,), {}),
     ]
 
     @pytest.mark.parametrize("kind,ins,outs,params", INCOHERENT_PORTS)
     def test_incoherent_port_layouts_rejected_when_built(self, kind, ins, outs, params):
         with pytest.raises(ValueError):
             Element(kind, ins, outs, params)
+
+    def test_port_labels_must_come_as_a_sequence_of_strings(self):
+        with pytest.raises(ValueError, match="got the string 'ab'"):
+            Element("dove", "ab", "ab", {"alpha": 1.0})
+        with pytest.raises(ValueError, match="path labels must be strings"):
+            Element("pbs", ("a", "b"), ("c", 4))
+
+    @pytest.mark.parametrize("listed,built", [
+        (Element("dove", ["p0"], ["p0"], {"alpha": 1.0}), dove_prism("p0", 1.0)),
+        (Element("bs", ["p0", "p1"], ["p2", "p3"], {"t": 0.3}),
+         beam_splitter("p0", "p1", "p2", "p3", t=0.3)),
+        (Element("oc_p", ["p1", "p4"], ["p1", "p4"]),
+         Element("oc_p", ("p1", "p4"), ("p1", "p4"))),
+    ], ids=lambda e: e.kind)
+    def test_list_ports_act_as_tuple_ports(self, listed, built):
+        assert listed.in_paths == built.in_paths and type(listed.in_paths) is tuple
+        assert listed.out_paths == built.out_paths and type(listed.out_paths) is tuple
+        assert listed == built and hash(listed) == hash(built)
+        rng = np.random.default_rng(140)
+        single = random_full_state(rng, 2, paths=pool_paths())
+        pair = random_pool_pair(rng, 2)
+        for state in (single, pair):
+            assert_bit_identical(apply_element(listed, state, wrap_guard=None),
+                                 apply_element(built, state, wrap_guard=None))
+        one, other = (Circuit("one", (elem,), "p0", ()) for elem in (listed, built))
+        for state in (single, pair):
+            assert_bit_identical(dense_apply(one, state), dense_apply(other, state))
+        u, basis = circuit_unitary(one, 2)
+        assert np.array_equal(u, circuit_unitary(other, 2)[0])
+        assert basis is circuit_unitary(other, 2)[1]
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_non_finite_wave_plate_angle_rejected(self, theta):
@@ -492,9 +531,25 @@ class TestActionCache:
         state = PhotonState({mode(0, H): 1.0}, 2)
         apply_element(plus, state)
         apply_element(minus, state)
+        assert plus._ident != minus._ident
         assert _action_table(plus, 2) is not _action_table(minus, 2)
         assert repr(_action_table(plus, 2)[mode(0, H)][1][1]) == "0.0"
         assert repr(_action_table(minus, 2)[mode(0, H)][1][1]) == "-0.0"
+        # the dense rows too: the hwp's second factor on its H row is sin(2 theta)
+        basis = ModeBasis(("in",), 2)
+        rows_plus = elements._circuit_rows((plus,), basis)
+        rows_minus = elements._circuit_rows((minus,), basis)
+        assert rows_plus is not rows_minus
+        assert repr(float(rows_plus[0][1][4][0].real)) == "0.0"
+        assert repr(float(rows_minus[0][1][4][0].real)) == "-0.0"
+        circuits = [Circuit("hwp", (elem,), "in", ()) for elem in (plus, minus)]
+        cold = []
+        for circuit in circuits:
+            clear_dense_caches()
+            cold.append((dense_apply(circuit, state), circuit_unitary(circuit, 2)[0]))
+        for circuit, (state_out, u) in zip(circuits, cold):
+            assert_bit_identical(dense_apply(circuit, state), state_out)
+            assert circuit_unitary(circuit, 2)[0].tobytes() == u.tobytes()
 
     def test_cache_holds_at_most_its_bound(self):
         state = PhotonState({mode(0, H): 1.0}, 2)
@@ -521,6 +576,7 @@ class TestActionCache:
 
     def test_circuits_still_pickle_and_copy(self):
         circuit = build_soba()
+        assert circuit.elements[0]._ident[0] == "bs"  # cached on the instance
         for clone in (pickle.loads(pickle.dumps(circuit)), copy.deepcopy(circuit)):
             assert clone == circuit and clone is not circuit
             assert clone.elements[0].params == {"t": SQ2}
@@ -642,6 +698,7 @@ class TestDenseOracle:
                 s1 = np.concatenate(([a[0]], s1[1:]))
             return [((t1, s1, f1), (t2, a, fa, b, fb)), *rows[1:]]
 
+        circuit_unitary(circuit, 1)  # the real rows are cached now
         monkeypatch.setattr(elements, "_circuit_rows", broken)
         with pytest.raises(ValueError, match="bs mixes rows"):
             circuit_unitary(circuit, 1)
@@ -652,6 +709,7 @@ class TestDenseOracle:
         within 1.25 times the output matrix (17.0 MiB)."""
         circuit = build_soba()
         circuit_unitary(circuit, 1)
+        clear_dense_caches()
         tracemalloc.start()
         try:
             u, basis = circuit_unitary(circuit, 16)
@@ -808,6 +866,7 @@ class TestDenseRoutesAgree:
         n = ModeBasis(circuit.paths(), truncation).size
         assert n == 1056
         pair = random_entangled_pair(np.random.default_rng(1270), truncation, 2000, ("in",))
+        clear_dense_caches()
         tracemalloc.start()
         try:
             out = dense_apply(circuit, pair)
@@ -834,6 +893,95 @@ class TestDenseRoutesAgree:
         circuit_unitary(circuit, 2)
         element_matrix(circuit.elements[0], ModeBasis(pool_paths(), 2))
         assert elements._table.cache_info() == before
+
+
+def clear_dense_caches():
+    hilbert._basis.cache_clear()
+    elements._rows_entry.cache_clear()
+
+
+def outputs_cold_and_warm(run):
+    """run() with the dense caches cleared, then again with them warm."""
+    clear_dense_caches()
+    cold = run()
+    hits = elements._rows_entry.cache_info().hits
+    warm = run()
+    assert elements._rows_entry.cache_info().hits > hits
+    return cold, warm
+
+
+class TestDenseCaches:
+    """The oracle keeps its bases and each circuit's rows in bounded LRUs;
+    an output never depends on what they hold."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_cold_outputs_equal_warm_outputs_bit_for_bit(self, seed):
+        rng = np.random.default_rng(1300 + seed)
+        truncation = 1 + seed % 3
+        circuit = random_circuit(rng, int(rng.integers(1, 13)))
+        single = random_full_state(rng, truncation, paths=pool_paths())
+        pair = random_pool_pair(rng, truncation)
+        assert_bit_identical(*outputs_cold_and_warm(lambda: dense_apply(circuit, single)))
+        for slot in (1, 2, "both"):
+            assert_bit_identical(
+                *outputs_cold_and_warm(lambda: dense_apply(circuit, pair, slot=slot)))
+        cold, warm = outputs_cold_and_warm(lambda: circuit_unitary(circuit, truncation))
+        assert cold[0].tobytes() == warm[0].tobytes()
+        assert cold[1] is warm[1]
+
+    @pytest.mark.parametrize("truncation", [2, 4])
+    def test_analyzer_cold_equals_warm_bit_for_bit(self, truncation):
+        rng = np.random.default_rng(1370 + truncation)
+        single = random_full_state(rng, truncation)
+        pair = random_entangled_pair(rng, truncation, 64, ("in",))
+        assert_bit_identical(*outputs_cold_and_warm(lambda: dense_apply(build_soba(), single)))
+        for slot in (1, 2, "both"):
+            assert_bit_identical(
+                *outputs_cold_and_warm(lambda: dense_apply(build_soba(), pair, slot=slot)))
+        cold, warm = outputs_cold_and_warm(lambda: circuit_unitary(build_soba(), truncation))
+        assert cold[0].tobytes() == warm[0].tobytes()
+
+    def test_cached_rows_are_read_only(self):
+        circuit = every_kind_circuit(np.random.default_rng(1380))
+        basis = ModeBasis(pool_paths(), 2)
+        rows = elements._circuit_rows(circuit.elements, basis)
+        assert elements._circuit_rows(circuit.elements, basis) is rows
+        arrays = [array for element_rows in rows for group in element_rows for array in group]
+        assert len(arrays) == 8 * len(circuit.elements)
+        for array in arrays:
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0][0][0][...] = 0
+
+    def test_rows_cache_holds_at_most_its_bound(self):
+        state = PhotonState({mode(0, H): 1.0}, 2)
+        circuits = [Circuit("plate", (phase_delay("in", 0.01 * n),), "in", ())
+                    for n in range(ROWS_CACHE_SIZE + 5)]
+        clear_dense_caches()
+        for circuit in circuits:
+            dense_apply(circuit, state)
+            circuit_unitary(circuit, 2)
+            assert elements._rows_entry.cache_info().currsize <= ROWS_CACHE_SIZE
+        assert elements._rows_entry.cache_info().currsize == ROWS_CACHE_SIZE
+
+    def test_basis_cache_holds_at_most_its_bound_and_one_basis_per_path_set(self):
+        clear_dense_caches()
+        basis = hilbert._shared_basis(("b", "a", "b"), 2)
+        assert basis.paths == ("a", "b") and basis.truncation == 2
+        assert hilbert._shared_basis(["a", "b"], 2) is basis
+        assert hilbert._shared_basis(("a", "b"), 3) is not basis
+        for n in range(BASIS_CACHE_SIZE + 5):
+            hilbert._shared_basis((f"p{n}",), 1)
+            assert hilbert._basis.cache_info().currsize <= BASIS_CACHE_SIZE
+        assert hilbert._basis.cache_info().currsize == BASIS_CACHE_SIZE
+
+    def test_a_basis_over_the_dimension_limit_is_never_cached(self):
+        clear_dense_caches()
+        too_wide = DENSE_DIM_LIMIT // 2  # one path, two polarizations, 2K + 1 > limit / 2
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exceeds limit"):
+                hilbert._shared_basis(("in",), too_wide)
+        assert hilbert._basis.cache_info().currsize == 0
 
 
 class TestBandInvariant:

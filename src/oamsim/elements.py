@@ -31,14 +31,16 @@ once, and keeps them, as read-only arrays, in a bounded LRU of
 ROWS_CACHE_SIZE circuits keyed by each element's `_ident` (kind, ports and
 parameters by repr, the key of the action cache too), the basis paths and
 K; the oracle's bases come from a bounded LRU of BASIS_CACHE_SIZE path sets
-(`hilbert._shared_basis`), so a repeated circuit, or a random circuit
-checked by both `dense_apply` and `circuit_unitary` on one basis, is
-expanded once.  Neither cache changes an output bit.  `dense_apply` steps
-the state vector, or a pair's amplitude matrix only where it has support:
-photon 1 on the rows of a block whose columns are the photon-2 modes
-holding amplitude, then photon 2 on the rows of a block whose columns are
-the photon-1 modes left with amplitude.  It forms no unitary and no n x n
-pair matrix.  `circuit_unitary` builds the unitary on its support, as a
+(`hilbert._shared_basis`).  Both `dense_apply` and `circuit_unitary` expand
+a circuit on its own basis, over `circuit.paths()`, and `dense_apply` lifts
+those rows by band arithmetic when the state adds paths, so a circuit is
+expanded once whatever the state's paths.  Neither cache changes an output
+bit.  `dense_apply` steps the state vector, or a pair's amplitude matrix
+only where it has support: photon 1 on the rows of a block whose columns
+are the photon-2 modes holding amplitude, then photon 2 on the rows of a
+block whose columns are the photon-1 modes left with amplitude.  It forms
+no unitary and no n x n pair matrix, and its output state skips the state
+constructor (see `hilbert.ModeBasis`).  `circuit_unitary` builds the unitary on its support, as a
 generalized permutation G times a sparse W: a one-source row costs O(1),
 re-pointing a row of G; the two-source rows come only from the 2 x 2 mixers
 of bs and hwp and cost O(entries of W they read); the one n x n array is
@@ -621,8 +623,9 @@ def _circuit_rows(elems, basis: ModeBasis) -> tuple[tuple[tuple, tuple], ...]:
     The band rules of all the elements expand together, one broadcast over
     (rule, m) per group; each element's rows are then a slice of the flat
     arrays, which are read-only: the rows are kept in a bounded LRU keyed by
-    the elements' idents, the basis paths and K, so `dense_apply` and
-    `circuit_unitary` expand a circuit once on one basis.
+    the elements' idents, the basis paths and K.  `dense_apply` and
+    `circuit_unitary` both ask for the rows on the circuit's own basis, so
+    they expand a circuit once; `_lift` places them in a larger basis.
     """
     entry = _rows_entry((tuple(elem._ident for elem in elems), basis.paths,
                          basis.truncation))
@@ -662,6 +665,21 @@ def _circuit_rows(elems, basis: ModeBasis) -> tuple[tuple[tuple, tuple], ...]:
                  for i, j, p, q in zip(ends1, ends1[1:], ends2, ends2[1:]))
     entry.append(rows)
     return rows
+
+
+def _lift(steps, own: ModeBasis, basis: ModeBasis):
+    """Rows from `_circuit_rows` on `own` as the same rows of `basis`, a
+    basis at the same K over more paths: index i of `own`, on band b = i //
+    (2K + 1), maps to (2K + 1) * band(b) + i % (2K + 1), band(b) being that
+    (path, pol) band's number in `basis`.  Factors and row order stay, so
+    the result equals the rows expanded on `basis` itself, array for array.
+    """
+    span = 2 * own.truncation + 1
+    position = basis.paths.index
+    bands = np.array([2 * position(path) + v for path in own.paths for v in (0, 1)])
+    lift = (span * bands[:, None] + np.arange(span)).ravel()
+    return tuple(((lift[t1], lift[s1], f1), (lift[t2], lift[a], fa, lift[b], fb))
+                 for (t1, s1, f1), (t2, a, fa, b, fb) in steps)
 
 
 def _element_rows(elem: Element, basis: ModeBasis) -> tuple[tuple, tuple]:
@@ -756,21 +774,28 @@ def dense_apply(circuit: Circuit, state, slot="both"):
     """Apply a circuit to the state's dense vector, or to a pair's amplitude
     matrix where it has support, element by element; no unitary is formed.
 
-    Independent verification path for the sparse evolution.  A pair is
-    stepped as a block of its matrix: photon 1 on the n rows and, on the
-    columns, only the photon-2 modes that hold amplitude.  Each column steps
-    on its own and an all-zero column stays zero, so the block gives exactly
-    the matrix's values.  For photon 2 the block turns over: the photon-1
-    modes left with amplitude become its columns and photon 2 its rows.  The
-    per-photon dense dimension is capped at DENSE_DIM_LIMIT.
+    Independent verification path for the sparse evolution.  The basis is
+    the circuit's paths plus the state's; the rows are the circuit's own,
+    the ones `circuit_unitary` reads, lifted into that basis when the state
+    adds paths.  A pair is stepped as a block of its matrix: photon 1 on the
+    n rows and, on the columns, only the photon-2 modes that hold amplitude.
+    Each column steps on its own and an all-zero column stays zero, so the
+    block gives exactly the matrix's values.  For photon 2 the block turns
+    over: the photon-1 modes left with amplitude become its columns and
+    photon 2 its rows.  The per-photon dense dimension is capped at
+    DENSE_DIM_LIMIT.  The output is built as the state constructor would
+    build it, bit for bit, without a second pass through it.
     """
     if not isinstance(state, (PhotonState, TwoPhotonState)):
         raise TypeError(f"cannot apply circuit to {type(state).__name__}")
     pair = isinstance(state, TwoPhotonState)
     if pair and slot not in (1, 2, "both"):
         raise ValueError(f"slot must be 1, 2 or 'both', got {slot!r}")
-    basis = _shared_basis(circuit.paths() + state.paths(), state.truncation)
-    steps = _circuit_rows(circuit.elements, basis)
+    own = _shared_basis(circuit.paths(), state.truncation)
+    steps = _circuit_rows(circuit.elements, own)
+    basis = _shared_basis(own.paths + state.paths(), own.truncation)
+    if basis is not own:
+        steps = _lift(steps, own, basis)
 
     def run(x):
         for rows in steps:

@@ -144,6 +144,14 @@ def _clean_amplitudes(items) -> dict:
     return amps
 
 
+def _band(truncation) -> int:
+    """The truncation band K as an int; K < 1 raises TruncationError."""
+    k = int(truncation)
+    if k < 1:
+        raise TruncationError("truncation band must satisfy K >= 1")
+    return k
+
+
 def _check_single(key: ModeKey, truncation: int) -> None:
     if abs(key.m) > truncation:
         raise TruncationError(f"mode m={key.m} outside band |m| <= {truncation}")
@@ -164,13 +172,26 @@ class _SparseState:
     __slots__ = ("amplitudes", "truncation")
 
     def __init__(self, amplitudes: Mapping, truncation: int):
-        k = int(truncation)
-        if k < 1:
-            raise TruncationError("truncation band must satisfy K >= 1")
+        k = _band(truncation)
         for key in amplitudes:
             self._check(key, k)
         self.amplitudes = _clean_amplitudes(amplitudes.items())
         self.truncation = k
+
+    @classmethod
+    def _from_clean(cls, amplitudes: dict, truncation: int):
+        """A state holding `amplitudes` as given, with no check and no copy.
+
+        Precondition: `truncation` >= 1, every key in its band, and every
+        amplitude a complex the constructor would keep as it is: none below
+        PRUNE_EPS in magnitude and no signed zero that 0j + z clears.  Only
+        ModeBasis.from_vector and from_matrix call this; they make the
+        constructor's decisions on the whole array at once.
+        """
+        state = object.__new__(cls)
+        state.amplitudes = amplitudes
+        state.truncation = truncation
+        return state
 
     def items(self) -> Iterator[tuple]:
         """Amplitudes in canonical key order (deterministic iteration)."""
@@ -242,6 +263,10 @@ class TwoPhotonState(_SparseState):
     def modes(self) -> Iterator[ModeKey]:
         """The mode of each photon of every occupied joint key."""
         return (k for pair in self.amplitudes for k in pair)
+
+    def paths(self) -> tuple[str, ...]:
+        amps = self.amplitudes
+        return tuple(sorted({k1.path for k1, _ in amps} | {k2.path for _, k2 in amps}))
 
     def __repr__(self) -> str:
         return f"TwoPhotonState({len(self.amplitudes)} joint modes, K={self.truncation})"
@@ -396,11 +421,18 @@ class SpectrumModel:
 # Dense basis (verification oracle backbone)
 
 
-def _kept(x: np.ndarray) -> np.ndarray:
-    """Entries a state could keep: none below PRUNE_EPS / 2 in magnitude, so
-    roundoff never reaches the state constructor, which makes the exact
-    PRUNE_EPS decision; a NaN is kept, as the constructor keeps it."""
-    return ~(np.abs(x) < PRUNE_EPS / 2)
+def _clean_dense(z: np.ndarray) -> tuple[tuple[np.ndarray, ...], list]:
+    """Indices of the entries the state constructor keeps, and those entries
+    as it stores them.
+
+    The decisions are the constructor's, made on the whole array: drop where
+    |z| < PRUNE_EPS (a NaN is kept) and add 0j, which clears signed zeros.
+    The magnitude is np.hypot, the function Python's abs(complex) calls;
+    np.abs of complex128 may differ from it in the last bit, which matters
+    for a value at the PRUNE_EPS edge.
+    """
+    where = np.nonzero(~(np.hypot(z.real, z.imag) < PRUNE_EPS))
+    return where, (0j + z[where]).tolist()
 
 
 class ModeBasis:
@@ -415,11 +447,17 @@ class ModeBasis:
     only `size` and the band starts.  The oracle takes its bases from
     `_shared_basis`, so a basis it has used keeps its key list and index
     while it stays among the BASIS_CACHE_SIZE most recently used.
+
+    A band K < 1 raises TruncationError, as the state constructor does,
+    before anything is allocated.  `from_vector` and `from_matrix` build
+    their states without a second pass through the constructor: every key
+    comes from the basis, so it is in band, and `_clean_dense` cleans the
+    values as the constructor would.  A mode off the basis raises ValueError.
     """
 
     def __init__(self, paths: Iterable[str], truncation: int):
+        self.truncation = _band(truncation)
         self.paths = tuple(sorted(set(paths)))
-        self.truncation = int(truncation)
         if not self.paths:
             raise ValueError("a basis needs at least one path")
         dim = len(self.paths) * len(POLARIZATIONS) * (2 * self.truncation + 1)
@@ -448,25 +486,36 @@ class ModeBasis:
     def key_at(self, i: int) -> ModeKey:
         return self._keys[i]
 
+    def _outside(self, error: KeyError) -> ValueError:
+        return ValueError(f"mode {error.args[0]!r} is not in the basis over paths "
+                          f"{self.paths} at K={self.truncation}")
+
     def to_vector(self, state: PhotonState) -> np.ndarray:
         vec = np.zeros(self.size, dtype=complex)
-        for key, amp in state.amplitudes.items():
-            vec[self._index[key]] = amp
+        index = self._index
+        try:
+            for key, amp in state.amplitudes.items():
+                vec[index[key]] = amp
+        except KeyError as exc:
+            raise self._outside(exc) from None
         return vec
 
     def from_vector(self, vec: np.ndarray) -> PhotonState:
-        idx = np.flatnonzero(_kept(vec))
+        (idx,), values = _clean_dense(vec)
         keys = self._keys
-        amps = dict(zip([keys[i] for i in idx.tolist()], vec[idx].tolist()))
-        return PhotonState(amps, self.truncation)
+        amps = dict(zip([keys[i] for i in idx.tolist()], values))
+        return PhotonState._from_clean(amps, self.truncation)
 
     def pair_entries(self, state: TwoPhotonState) -> tuple[np.ndarray, ...]:
         """A pair's terms as three arrays: photon-1 index, photon-2 index and
         amplitude."""
         index, amps = self._index, state.amplitudes
         n = len(amps)
-        i1 = np.fromiter((index[k1] for k1, _ in amps), np.intp, n)
-        i2 = np.fromiter((index[k2] for _, k2 in amps), np.intp, n)
+        try:
+            i1 = np.fromiter((index[k1] for k1, _ in amps), np.intp, n)
+            i2 = np.fromiter((index[k2] for _, k2 in amps), np.intp, n)
+        except KeyError as exc:
+            raise self._outside(exc) from None
         return i1, i2, np.fromiter(amps.values(), complex, n)
 
     def to_matrix(self, state: TwoPhotonState) -> np.ndarray:
@@ -479,15 +528,14 @@ class ModeBasis:
         """Pair state from its amplitude matrix (photon 1 on the rows), or
         from a block of it whose row r and column c are the basis modes
         rows[r] and cols[c]."""
-        r, c = np.nonzero(_kept(mat))
-        values = mat[r, c].tolist()
+        (r, c), values = _clean_dense(mat)
         if rows is not None:
             r = rows[r]
         if cols is not None:
             c = cols[c]
         keys = self._keys
         pairs = zip([keys[i] for i in r.tolist()], [keys[i] for i in c.tolist()])
-        return TwoPhotonState(dict(zip(pairs, values)), self.truncation)
+        return TwoPhotonState._from_clean(dict(zip(pairs, values)), self.truncation)
 
 
 # Dense bases, one per (sorted distinct paths, K), of the most recently used

@@ -20,8 +20,14 @@ from oamsim.hilbert import H, V, PhotonState, TwoPhotonState, mode
 
 
 # Around the prune threshold: zeros, below PRUNE_EPS / 2, between
-# PRUNE_EPS / 2 and PRUNE_EPS, above it, and a NaN, which a state keeps.
-EDGE_VALUES = (0.0, -0.0, 1e-16, 0.7e-15j, -1.2e-15, complex(math.nan, 0.0), 0.6)
+# PRUNE_EPS / 2 and PRUNE_EPS, above it, a NaN, which a state keeps, a value
+# whose magnitude lies at PRUNE_EPS (Python's abs(complex) keeps it, numpy
+# 2.4's np.abs of complex128 reads it one ulp lower and would drop it), and
+# two with a signed zero part, which a state clears.
+AT_PRUNE_EPS = complex(float.fromhex("0x1.63b791e9a6a7ap-51"),
+                       float.fromhex("0x1.c59f13600bff7p-51"))
+EDGE_VALUES = (0.0, -0.0, 1e-16, 0.7e-15j, -1.2e-15, complex(math.nan, 0.0), 0.6,
+               AT_PRUNE_EPS, complex(0.6, -0.0), complex(-0.0, 0.6))
 
 
 def random_oam_state(rng: np.random.Generator, truncation: int,

@@ -49,6 +49,7 @@ from oamsim.hilbert import (
     V,
     ModeBasis,
     PhotonState,
+    TruncationError,
     TwoPhotonState,
     mode,
 )
@@ -719,6 +720,25 @@ class TestDenseOracle:
         assert basis.size == 1056
         assert peak <= 1.25 * u.nbytes, (peak, u.nbytes)
 
+    @pytest.mark.parametrize("truncation", [1, 2, 3])
+    @pytest.mark.parametrize("elem", BAND_RULE_CASES,
+                             ids=lambda e: e.kind + str(e.params.get("q", "")))
+    def test_lifted_rows_equal_the_rows_expanded_on_the_larger_basis(self, elem, truncation):
+        """A path before, between and after the element's own ones."""
+        own = ModeBasis(elem.paths(), truncation)
+        basis = ModeBasis(("a",) + pool_paths() + ("q",), truncation)
+        lifted = elements._lift(elements._circuit_rows((elem,), own), own, basis)
+        direct = elements._circuit_rows((elem,), basis)
+        assert len(lifted) == len(direct) == 1
+        for got_group, want_group in zip(lifted[0], direct[0]):
+            for got, want in zip(got_group, want_group, strict=True):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("truncation", [0, -1])
+    def test_a_band_below_one_raises_before_any_work(self, truncation):
+        with pytest.raises(TruncationError, match="K >= 1"):
+            circuit_unitary(build_sorter(), truncation)
+
     def test_unknown_element_kind_raises(self):
         elem = Element("prism", ("p0",), ("p0",))
         basis = ModeBasis(("p0",), 1)
@@ -844,9 +864,7 @@ class TestDenseRoutesAgree:
                                for r in range(basis.size) for c in range(basis.size)},
                               truncation)
         got = dense_apply(circuit, state, slot=slot)
-        assert list(got.amplitudes) == list(want.amplitudes)
-        assert np.array_equal(list(got.amplitudes.values()),
-                              list(want.amplitudes.values()), equal_nan=True)
+        assert_bit_identical(got, want)
 
         u = self.reference_unitary(circuit, basis)
         nan = np.isnan(m)
@@ -910,17 +928,49 @@ def outputs_cold_and_warm(run):
     return cold, warm
 
 
+def random_dense_case(seed):
+    """A random circuit, its band, a state over every pool path and a pair
+    over three of them; the circuit may leave pool paths untouched."""
+    rng = np.random.default_rng(1300 + seed)
+    truncation = 1 + seed % 3
+    circuit = random_circuit(rng, int(rng.integers(1, 13)))
+    single = random_full_state(rng, truncation, paths=pool_paths())
+    return circuit, truncation, single, random_pool_pair(rng, truncation)
+
+
+def assert_a_constructor_state(state):
+    """The state equals, bit for bit, what the public constructor builds
+    from its amplitudes."""
+    assert_bit_identical(type(state)(state.amplitudes, state.truncation), state)
+
+
+class TestDenseOutputs:
+    """dense_apply builds its output without the state constructor; every
+    output must be one the constructor would build."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_circuit_outputs_are_constructor_states(self, seed):
+        circuit, _, single, pair = random_dense_case(seed)
+        assert_a_constructor_state(dense_apply(circuit, single))
+        for slot in (1, 2, "both"):
+            assert_a_constructor_state(dense_apply(circuit, pair, slot=slot))
+
+    @pytest.mark.parametrize("truncation", [2, 4])
+    def test_analyzer_outputs_are_constructor_states(self, truncation):
+        rng = np.random.default_rng(1390 + truncation)
+        assert_a_constructor_state(dense_apply(build_soba(), random_full_state(rng, truncation)))
+        pair = random_entangled_pair(rng, truncation, 64, ("in",))
+        for slot in (1, 2, "both"):
+            assert_a_constructor_state(dense_apply(build_soba(), pair, slot=slot))
+
+
 class TestDenseCaches:
     """The oracle keeps its bases and each circuit's rows in bounded LRUs;
     an output never depends on what they hold."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_cold_outputs_equal_warm_outputs_bit_for_bit(self, seed):
-        rng = np.random.default_rng(1300 + seed)
-        truncation = 1 + seed % 3
-        circuit = random_circuit(rng, int(rng.integers(1, 13)))
-        single = random_full_state(rng, truncation, paths=pool_paths())
-        pair = random_pool_pair(rng, truncation)
+        circuit, truncation, single, pair = random_dense_case(seed)
         assert_bit_identical(*outputs_cold_and_warm(lambda: dense_apply(circuit, single)))
         for slot in (1, 2, "both"):
             assert_bit_identical(
@@ -940,6 +990,21 @@ class TestDenseCaches:
                 *outputs_cold_and_warm(lambda: dense_apply(build_soba(), pair, slot=slot)))
         cold, warm = outputs_cold_and_warm(lambda: circuit_unitary(build_soba(), truncation))
         assert cold[0].tobytes() == warm[0].tobytes()
+
+    def test_a_circuit_expands_once_whatever_the_state_paths(self):
+        """dense_apply of a state on more paths than the circuit lifts the
+        circuit's own rows, so circuit_unitary finds them in the cache."""
+        circuit = Circuit("part", (beam_splitter("p0", "p1", "p2", "p3", t=0.3),
+                                   spiral_phase_plate("p2", 1)), "p0", ())
+        single = random_full_state(np.random.default_rng(1385), 2, paths=pool_paths())
+        pair = random_entangled_pair(np.random.default_rng(1386), 2, 32, ("p0", "q"))
+        for state in (single, pair):
+            clear_dense_caches()
+            dense_apply(circuit, state)
+            misses = elements._rows_entry.cache_info().misses
+            assert misses == 1
+            circuit_unitary(circuit, 2)
+            assert elements._rows_entry.cache_info().misses == misses
 
     def test_cached_rows_are_read_only(self):
         circuit = every_kind_circuit(np.random.default_rng(1380))

@@ -29,7 +29,7 @@ from oamsim.hilbert import (
     parse_coeff_rows,
     state_to_records,
 )
-from helpers import EDGE_VALUES, random_two_photon
+from helpers import AT_PRUNE_EPS, EDGE_VALUES, random_two_photon
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -254,13 +254,39 @@ class TestModeBasis:
         with pytest.raises(ValueError, match="exceeds limit"):
             ModeBasis(("in",), 10 ** 6)
 
+    @pytest.mark.parametrize("truncation", [0, -1])
+    def test_band_below_one_raises_like_the_state_constructor(self, truncation, monkeypatch):
+        with pytest.raises(TruncationError) as want:
+            PhotonState({}, truncation)
+        monkeypatch.setattr(hilbert, "ModeKey", None)  # nothing is built first
+        with pytest.raises(TruncationError) as got:
+            ModeBasis(("in",), truncation)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(TruncationError):
+            hilbert._shared_basis(("in",), truncation)
+
+    def test_mode_off_the_basis_raises_a_value_error_naming_mode_and_basis(self):
+        basis = ModeBasis(("in",), 2)
+        wide = PhotonState({mode(0): 0.6, mode(4, V): 0.8}, 4)
+        pair = TwoPhotonState({(mode(0), mode(1)): 0.6, (mode(0), mode(0, H, "x")): 0.8}, 2)
+        for convert, state, key in ((basis.to_vector, wide, mode(4, V)),
+                                    (basis.pair_entries, pair, mode(0, H, "x")),
+                                    (basis.to_matrix, pair, mode(0, H, "x"))):
+            with pytest.raises(ValueError, match="not in the basis") as exc:
+                convert(state)
+            assert not isinstance(exc.value, KeyError)
+            assert repr(key) in str(exc.value) and "('in',) at K=2" in str(exc.value)
+
     EDGE_VALUES = EDGE_VALUES
 
     @staticmethod
     def assert_same_state(got, want):
+        """Same keys in the same order and the same bits in every part of
+        every amplitude (a NaN equals a NaN; -0.0 differs from 0.0)."""
+        def bits(state):
+            return [(a.real.hex(), a.imag.hex()) for a in state.amplitudes.values()]
         assert list(got.amplitudes) == list(want.amplitudes)
-        assert np.array_equal(list(got.amplitudes.values()),
-                              list(want.amplitudes.values()), equal_nan=True)
+        assert bits(got) == bits(want)
 
     def test_from_vector_keeps_what_the_constructor_keeps(self):
         basis = ModeBasis(("in",), 3)
@@ -269,18 +295,20 @@ class TestModeBasis:
         got = basis.from_vector(vec)
         want = PhotonState({basis.key_at(i): vec[i] for i in range(basis.size)}, 3)
         self.assert_same_state(got, want)
-        assert len(got) == 3 and math.isnan(got.get(basis.key_at(5)).real)
+        assert len(got) == 6 and math.isnan(got.get(basis.key_at(5)).real)
+        assert got.get(basis.key_at(7)) == AT_PRUNE_EPS
 
     def test_from_matrix_keeps_what_the_constructor_keeps(self):
-        basis = ModeBasis(("in",), 2)
+        basis = ModeBasis(("in",), 3)
         mat = np.zeros((basis.size, basis.size), dtype=complex)
         mat[0, :len(self.EDGE_VALUES)] = self.EDGE_VALUES
         mat[1:1 + len(self.EDGE_VALUES), -1] = self.EDGE_VALUES
         got = basis.from_matrix(mat)
         want = TwoPhotonState({(basis.key_at(r), basis.key_at(c)): mat[r, c]
-                               for r in range(basis.size) for c in range(basis.size)}, 2)
+                               for r in range(basis.size) for c in range(basis.size)}, 3)
         self.assert_same_state(got, want)
-        assert len(got) == 6 and math.isnan(got.get((basis.key_at(0), basis.key_at(5))).real)
+        assert len(got) == 12 and math.isnan(got.get((basis.key_at(0), basis.key_at(5))).real)
+        assert got.get((basis.key_at(8), basis.key_at(13))) == AT_PRUNE_EPS
 
 
 class TestCoeffRows:

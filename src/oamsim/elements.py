@@ -603,9 +603,9 @@ def _band_rules(elem: Element, basis: ModeBasis) -> tuple[list, list]:
 # three random circuits, each by dense_apply and then by circuit_unitary,
 # and the analyzer at K = 4 (and at K = 8 one time in four).  Measured on 2
 # cores (Python 3.11) over 400 such operations, 2900 lookups: 4 row sets
-# answered 940, 8 answered 1229, 16 answered 1253 and 32 answered 1328 (the
-# K = 8 analyzer then stays between its uses); each row set holds about
-# 25 kB, so 32 instead of 16 would keep 0.4 MB more.
+# answered 1499, 8 answered 1599 and 16 answered 1698, every lookup but the
+# first of each circuit and band, so 32 answer no more; each row set holds
+# about 25 kB.
 ROWS_CACHE_SIZE = 16
 
 

@@ -423,13 +423,11 @@ class SpectrumModel:
 
 def _clean_dense(z: np.ndarray) -> tuple[tuple[np.ndarray, ...], list]:
     """Indices of the entries the state constructor keeps, and those entries
-    as it stores them.
-
-    The decisions are the constructor's, made on the whole array: drop where
-    |z| < PRUNE_EPS (a NaN is kept) and add 0j, which clears signed zeros.
-    The magnitude is np.hypot, the function Python's abs(complex) calls;
-    np.abs of complex128 may differ from it in the last bit, which matters
-    for a value at the PRUNE_EPS edge.
+    as it stores them: the constructor's decisions on the whole array, drop
+    where |z| < PRUNE_EPS (a NaN is kept) and add 0j to clear signed zeros.
+    The magnitude is np.hypot, which Python's abs(complex) calls; np.abs of
+    complex128 can differ from it in the last bit, which can flip the
+    decision for a value at PRUNE_EPS.
     """
     where = np.nonzero(~(np.hypot(z.real, z.imag) < PRUNE_EPS))
     return where, (0j + z[where]).tolist()
@@ -448,11 +446,10 @@ class ModeBasis:
     `_shared_basis`, so a basis it has used keeps its key list and index
     while it stays among the BASIS_CACHE_SIZE most recently used.
 
-    A band K < 1 raises TruncationError, as the state constructor does,
-    before anything is allocated.  `from_vector` and `from_matrix` build
-    their states without a second pass through the constructor: every key
-    comes from the basis, so it is in band, and `_clean_dense` cleans the
-    values as the constructor would.  A mode off the basis raises ValueError.
+    K < 1 raises TruncationError before anything is allocated, and a mode
+    off the basis raises ValueError.  `from_vector` and `from_matrix` take
+    their keys from the basis, so in band, and `_clean_dense` cleans the
+    values, so their states skip the constructor.
     """
 
     def __init__(self, paths: Iterable[str], truncation: int):
@@ -481,7 +478,10 @@ class ModeBasis:
         return self._size
 
     def index(self, key: ModeKey) -> int:
-        return self._index[key]
+        try:
+            return self._index[key]
+        except KeyError as exc:
+            raise self._outside(exc) from None
 
     def key_at(self, i: int) -> ModeKey:
         return self._keys[i]
@@ -540,9 +540,10 @@ class ModeBasis:
 
 # Dense bases, one per (sorted distinct paths, K), of the most recently used
 # path sets.  Measured on 2 cores (Python 3.11) over 400 oracle benchmark
-# operations, 2900 lookups: 4 bases answered 1246, 8 answered 2511, 16
-# answered 2641 and 32 answered 2764 (the K = 8 analyzer basis then stays
-# between its uses).  Most bases `circuit_unitary` asks for never build their
+# operations, 4600 lookups (dense_apply asks for the circuit's own basis and
+# for the state's): 4 bases answered 2864, 8 answered 4206, 16 answered 4341
+# and 32 answered 4464 (the K = 8 analyzer basis then stays between its
+# uses).  Most bases `circuit_unitary` asks for never build their
 # key list, so 32 held no more measured memory than 16 (2.87 MB traced
 # either way, with 16 row sets).
 BASIS_CACHE_SIZE = 32

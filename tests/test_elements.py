@@ -928,53 +928,30 @@ def outputs_cold_and_warm(run):
     return cold, warm
 
 
-def random_dense_case(seed):
-    """A random circuit, its band, a state over every pool path and a pair
-    over three of them; the circuit may leave pool paths untouched."""
-    rng = np.random.default_rng(1300 + seed)
-    truncation = 1 + seed % 3
-    circuit = random_circuit(rng, int(rng.integers(1, 13)))
-    single = random_full_state(rng, truncation, paths=pool_paths())
-    return circuit, truncation, single, random_pool_pair(rng, truncation)
-
-
-def assert_a_constructor_state(state):
-    """The state equals, bit for bit, what the public constructor builds
-    from its amplitudes."""
-    assert_bit_identical(type(state)(state.amplitudes, state.truncation), state)
-
-
-class TestDenseOutputs:
-    """dense_apply builds its output without the state constructor; every
-    output must be one the constructor would build."""
-
-    @pytest.mark.parametrize("seed", range(60))
-    def test_random_circuit_outputs_are_constructor_states(self, seed):
-        circuit, _, single, pair = random_dense_case(seed)
-        assert_a_constructor_state(dense_apply(circuit, single))
-        for slot in (1, 2, "both"):
-            assert_a_constructor_state(dense_apply(circuit, pair, slot=slot))
-
-    @pytest.mark.parametrize("truncation", [2, 4])
-    def test_analyzer_outputs_are_constructor_states(self, truncation):
-        rng = np.random.default_rng(1390 + truncation)
-        assert_a_constructor_state(dense_apply(build_soba(), random_full_state(rng, truncation)))
-        pair = random_entangled_pair(rng, truncation, 64, ("in",))
-        for slot in (1, 2, "both"):
-            assert_a_constructor_state(dense_apply(build_soba(), pair, slot=slot))
+def assert_dense_state_cold_and_warm(run):
+    """run() gives one state, bit for bit, with the dense caches cold and
+    warm, and it is the state the public constructor builds from its
+    amplitudes: dense outputs skip the constructor, so they must match it."""
+    cold, warm = outputs_cold_and_warm(run)
+    assert_bit_identical(cold, warm)
+    assert_bit_identical(type(cold)(cold.amplitudes, cold.truncation), cold)
 
 
 class TestDenseCaches:
     """The oracle keeps its bases and each circuit's rows in bounded LRUs;
-    an output never depends on what they hold."""
+    an output never depends on what they hold.  The random circuits may
+    leave pool paths untouched, so their rows are lifted."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_cold_outputs_equal_warm_outputs_bit_for_bit(self, seed):
-        circuit, truncation, single, pair = random_dense_case(seed)
-        assert_bit_identical(*outputs_cold_and_warm(lambda: dense_apply(circuit, single)))
+        rng = np.random.default_rng(1300 + seed)
+        truncation = 1 + seed % 3
+        circuit = random_circuit(rng, int(rng.integers(1, 13)))
+        single = random_full_state(rng, truncation, paths=pool_paths())
+        pair = random_pool_pair(rng, truncation)
+        assert_dense_state_cold_and_warm(lambda: dense_apply(circuit, single))
         for slot in (1, 2, "both"):
-            assert_bit_identical(
-                *outputs_cold_and_warm(lambda: dense_apply(circuit, pair, slot=slot)))
+            assert_dense_state_cold_and_warm(lambda: dense_apply(circuit, pair, slot=slot))
         cold, warm = outputs_cold_and_warm(lambda: circuit_unitary(circuit, truncation))
         assert cold[0].tobytes() == warm[0].tobytes()
         assert cold[1] is warm[1]
@@ -984,10 +961,9 @@ class TestDenseCaches:
         rng = np.random.default_rng(1370 + truncation)
         single = random_full_state(rng, truncation)
         pair = random_entangled_pair(rng, truncation, 64, ("in",))
-        assert_bit_identical(*outputs_cold_and_warm(lambda: dense_apply(build_soba(), single)))
+        assert_dense_state_cold_and_warm(lambda: dense_apply(build_soba(), single))
         for slot in (1, 2, "both"):
-            assert_bit_identical(
-                *outputs_cold_and_warm(lambda: dense_apply(build_soba(), pair, slot=slot)))
+            assert_dense_state_cold_and_warm(lambda: dense_apply(build_soba(), pair, slot=slot))
         cold, warm = outputs_cold_and_warm(lambda: circuit_unitary(build_soba(), truncation))
         assert cold[0].tobytes() == warm[0].tobytes()
 

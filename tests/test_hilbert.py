@@ -269,7 +269,8 @@ class TestModeBasis:
         basis = ModeBasis(("in",), 2)
         wide = PhotonState({mode(0): 0.6, mode(4, V): 0.8}, 4)
         pair = TwoPhotonState({(mode(0), mode(1)): 0.6, (mode(0), mode(0, H, "x")): 0.8}, 2)
-        for convert, state, key in ((basis.to_vector, wide, mode(4, V)),
+        for convert, state, key in ((basis.index, mode(3), mode(3)),
+                                    (basis.to_vector, wide, mode(4, V)),
                                     (basis.pair_entries, pair, mode(0, H, "x")),
                                     (basis.to_matrix, pair, mode(0, H, "x"))):
             with pytest.raises(ValueError, match="not in the basis") as exc:

@@ -4,9 +4,10 @@ Each case in golden/cases.json names an argv; golden/<name>.out holds the
 exit code on its first line and the exact stdout after it.  The cases are
 replayed in-process through `cli.main`.
 
-After an intended change of a report, rewrite the files with
-    PYTHONPATH=src python tests/test_golden_cli.py --update
-and review the diff.
+After an intended change of a report, rewrite the files of the cases it
+changes, and only those, with
+    PYTHONPATH=src python tests/test_golden_cli.py --update NAME...
+and review the diff.  An unknown name rewrites nothing.
 """
 
 import contextlib
@@ -38,12 +39,16 @@ def test_report_is_byte_identical(case, monkeypatch, capsys):
     assert _run(case["argv"]) == expected
 
 
-def _update() -> None:
+def _update(names) -> None:
+    unknown = set(names) - {case["name"] for case in CASES}
+    if not names or unknown:
+        raise SystemExit(f"--update needs known case names; unknown: {sorted(unknown)}")
     os.environ.pop(cli.CONFIG_ENV, None)
     for case in CASES:
-        (GOLDEN / f"{case['name']}.out").write_text(_run(case["argv"]),
-                                                    encoding="utf-8")
+        if case["name"] in names:
+            (GOLDEN / f"{case['name']}.out").write_text(_run(case["argv"]),
+                                                        encoding="utf-8")
 
 
 if __name__ == "__main__" and "--update" in sys.argv:
-    _update()
+    _update(sys.argv[sys.argv.index("--update") + 1:])

@@ -340,12 +340,12 @@ def _apply_pass(elem: Element, amps: dict, truncation: int, idx, wrap_guard) -> 
 def _evolve(elements, state, slot, wrap_guard):
     """Apply `elements` in order to the raw amplitudes of `state`.
 
-    Between elements the amplitudes are cleaned exactly as the state
-    constructor cleans them (zero and PRUNE_EPS drops, signed zeros cleared);
-    the constructor at the end cleans after the last one.  So the result
-    equals building a state after every element, bit for bit.  The band is
-    checked once, on the output: every key a pass writes is in band, since
-    only `spp` and the gates change m and `_wrap_m` wraps it.
+    After every element the amplitudes are cleaned exactly as the state
+    constructor cleans them (zero and PRUNE_EPS drops, signed zeros
+    cleared), so the result equals building a state after every element,
+    bit for bit.  It skips the constructor's band check: every key a pass
+    writes is in band, since only `spp` and the gates change m and
+    `_wrap_m` wraps it.
     """
     if isinstance(state, PhotonState):
         idxs = (None,)
@@ -356,13 +356,12 @@ def _evolve(elements, state, slot, wrap_guard):
     else:
         raise TypeError(f"cannot apply element to {type(state).__name__}")
     k = state.truncation
-    amps = state.amplitudes
-    for n, elem in enumerate(elements):
-        if n:
-            amps = _clean_amplitudes(amps.items())
+    amps = state.amplitudes if elements else dict(state.amplitudes)
+    for elem in elements:
         for idx in idxs:
             amps = _apply_pass(elem, amps, k, idx, wrap_guard)
-    return type(state)(amps, k)
+        amps = _clean_amplitudes(amps.items())
+    return type(state)._from_clean(amps, k)
 
 
 def apply_element(elem: Element, state, slot="both", wrap_guard=WRAP_GUARD):
@@ -380,17 +379,18 @@ class Circuit:
     detector_paths: tuple[str, ...]
 
     def __post_init__(self):
-        known = set(self.paths())
-        for d in self.detector_paths:
-            if d not in known:
-                raise ValueError(f"detector path {d!r} not produced by any element")
-
-    def paths(self) -> tuple[str, ...]:
         seen: dict[str, None] = {self.input_path: None}
         for elem in self.elements:
             for p in elem.paths():
                 seen.setdefault(p, None)
-        return tuple(seen)
+        object.__setattr__(self, "_paths", tuple(seen))
+        for d in self.detector_paths:
+            if d not in seen:
+                raise ValueError(f"detector path {d!r} not produced by any element")
+
+    def paths(self) -> tuple[str, ...]:
+        """The input path, then every element path in first-use order."""
+        return self._paths
 
 
 def apply_circuit(circuit: Circuit, state, slot="both", wrap_guard=WRAP_GUARD):

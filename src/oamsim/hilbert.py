@@ -184,9 +184,11 @@ class _SparseState:
 
         Precondition: `truncation` >= 1, every key in its band, and every
         amplitude a complex the constructor would keep as it is: none below
-        PRUNE_EPS in magnitude and no signed zero that 0j + z clears.  Only
-        ModeBasis.from_vector and from_matrix call this; they make the
-        constructor's decisions on the whole array at once.
+        PRUNE_EPS in magnitude and no signed zero that 0j + z clears.  Its
+        callers take their keys from a state or a basis already in band and
+        clean as the constructor does: `normalized`, the sparse engine
+        (`elements._evolve`), and ModeBasis.from_vector and from_matrix,
+        which make the constructor's decisions on the whole array at once.
         """
         state = object.__new__(cls)
         state.amplitudes = amplitudes
@@ -211,8 +213,8 @@ class _SparseState:
         n = self.norm()
         if n < 1e-300:
             raise NormalizationError("cannot normalize a zero state")
-        return type(self)({k: a / n for k, a in self.amplitudes.items()},
-                          self.truncation)
+        amps = _clean_amplitudes((k, a / n) for k, a in self.amplitudes.items())
+        return type(self)._from_clean(amps, self.truncation)
 
     def require_normalized(self) -> None:
         """Measurement precondition: norm**2 within NORM_CHECK_TOL of 1."""
@@ -478,26 +480,23 @@ class ModeBasis:
         return self._size
 
     def index(self, key: ModeKey) -> int:
-        try:
-            return self._index[key]
-        except KeyError as exc:
-            raise self._outside(exc) from None
+        return int(self._indices((key,), 1)[0])
 
     def key_at(self, i: int) -> ModeKey:
         return self._keys[i]
 
-    def _outside(self, error: KeyError) -> ValueError:
-        return ValueError(f"mode {error.args[0]!r} is not in the basis over paths "
-                          f"{self.paths} at K={self.truncation}")
+    def _indices(self, keys, n: int) -> np.ndarray:
+        """Basis index of each of `n` keys; a key off the basis raises ValueError."""
+        try:
+            return np.fromiter(map(self._index.__getitem__, keys), np.intp, n)
+        except KeyError as exc:
+            raise ValueError(f"mode {exc.args[0]!r} is not in the basis over paths "
+                             f"{self.paths} at K={self.truncation}") from None
 
     def to_vector(self, state: PhotonState) -> np.ndarray:
+        amps = state.amplitudes
         vec = np.zeros(self.size, dtype=complex)
-        index = self._index
-        try:
-            for key, amp in state.amplitudes.items():
-                vec[index[key]] = amp
-        except KeyError as exc:
-            raise self._outside(exc) from None
+        vec[self._indices(amps, len(amps))] = np.fromiter(amps.values(), complex, len(amps))
         return vec
 
     def from_vector(self, vec: np.ndarray) -> PhotonState:
@@ -509,14 +508,11 @@ class ModeBasis:
     def pair_entries(self, state: TwoPhotonState) -> tuple[np.ndarray, ...]:
         """A pair's terms as three arrays: photon-1 index, photon-2 index and
         amplitude."""
-        index, amps = self._index, state.amplitudes
+        amps = state.amplitudes
         n = len(amps)
-        try:
-            i1 = np.fromiter((index[k1] for k1, _ in amps), np.intp, n)
-            i2 = np.fromiter((index[k2] for _, k2 in amps), np.intp, n)
-        except KeyError as exc:
-            raise self._outside(exc) from None
-        return i1, i2, np.fromiter(amps.values(), complex, n)
+        return (self._indices((k1 for k1, _ in amps), n),
+                self._indices((k2 for _, k2 in amps), n),
+                np.fromiter(amps.values(), complex, n))
 
     def to_matrix(self, state: TwoPhotonState) -> np.ndarray:
         mat = np.zeros((self.size, self.size), dtype=complex)

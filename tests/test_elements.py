@@ -271,6 +271,7 @@ class TestCircuits:
         circuit = Circuit("identity", (), "in", ())
         out = apply_circuit(circuit, s)
         assert out.amplitudes == s.amplitudes
+        assert out.amplitudes is not s.amplitudes  # states never share a map
         dense = dense_apply(circuit, s)
         for key, amp in s.amplitudes.items():
             assert dense.get(key) == pytest.approx(amp, abs=1e-15)
@@ -278,6 +279,14 @@ class TestCircuits:
     def test_detector_paths_validated(self):
         with pytest.raises(ValueError):
             Circuit("bad", (), "in", ("nowhere",))
+
+    def test_paths_are_built_once_in_first_use_order(self):
+        circuit = build_soba()
+        assert circuit.paths() is circuit.paths()
+        seen = {circuit.input_path: None}
+        for elem in circuit.elements:
+            seen.update(dict.fromkeys(elem.paths()))
+        assert circuit.paths() == tuple(seen)
 
     @pytest.mark.parametrize("builder", [build_sorter, build_s2_setup, build_s3_setup,
                                          lambda: build_projection(0.6),

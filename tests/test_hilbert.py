@@ -130,6 +130,17 @@ class TestStateCore:
             state.require_normalized()
         assert state.normalized().require_normalized() is None
 
+    def test_normalized_cleans_as_the_constructor_does(self):
+        # 4e-15 falls below PRUNE_EPS only once divided by the norm, about 9.8.
+        state = PhotonState({mode(0): 8.0, mode(1): 4j, mode(2): 4e-15,
+                             mode(3): complex(4.0, 1e-300)}, 4)
+        got = state.normalized()
+        want = PhotonState({k: a / state.norm() for k, a in state.amplitudes.items()}, 4)
+        assert mode(2) in state.amplitudes and mode(2) not in got.amplitudes
+        assert list(got.amplitudes) == list(want.amplitudes)
+        assert [repr(a) for a in got.amplitudes.values()] == \
+            [repr(a) for a in want.amplitudes.values()]
+
 
 class TestParityMarginals:
     def test_even_odd_entangled_pair(self):

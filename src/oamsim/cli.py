@@ -173,21 +173,17 @@ def _parse_state(text: str, truncation: int) -> PhotonState:
 
 
 def _base_config(args, spectrum: SpectrumModel | None = None) -> dict:
+    # A command without --shots or --seed records the 0 shots and no seed it ran.
     cfg = {
         "truncation": args.truncation,
-        "shots": args.shots,
-        "seed": args.seed,
+        "shots": vars(args).get("shots", 0),
+        "seed": vars(args).get("seed"),
         "format": "json",
         "rng": "numpy-pcg64",
     }
     if spectrum is not None:
         cfg["spectrum"] = spectrum.to_dict()
     return cfg
-
-
-def _require_seed(args) -> None:
-    if args.shots > 0 and args.seed is None:
-        raise ValidationError("shots > 0 requires --seed")
 
 
 def _sampled_counts(args, probs: dict, key: int) -> dict:
@@ -208,12 +204,11 @@ def _vortex_state(args, spectrum):
 def _cmd_state(args) -> dict:
     spectrum = _parse_spectrum(args.spectrum)
     cfg = _base_config(args, spectrum)
-    cfg.update({"kind": args.kind, "pump_order": args.pump,
-                "polarization_mode": args.pol})
+    cfg["kind"] = args.kind
     band = source_band(args.truncation)
     if args.kind == "bell":
         label = normalize_spin_orbit_label(args.label)
-        cfg["label"] = label
+        cfg.update(label=label, pump_order=args.pump, polarization_mode=args.pol)
         state = prepare_single_photon_bell(label, args.truncation)
         return {"command": "state", "config": cfg,
                 "state": state_to_records(state)}
@@ -221,6 +216,7 @@ def _cmd_state(args) -> dict:
         spec = SourceSpec(1, spectrum, BELL_PHI_PLUS, args.truncation)
     else:
         spec = SourceSpec(args.pump, spectrum, args.pol, args.truncation)
+    cfg.update(pump_order=spec.pump_order, polarization_mode=spec.polarization_mode)
     state = spdc(spec)
     report = {"command": "state", "config": cfg,
               "state": state_to_records(state),
@@ -237,7 +233,6 @@ def _cmd_sorter(args) -> dict:
         state = PhotonState({mode(args.m): 1.0}, args.truncation)
     else:
         state = _parse_state(args.state, args.truncation)
-    _require_seed(args)
     probs = readout(build_sorter(), state)
     cfg = _base_config(args)
     cfg["m"] = args.m
@@ -294,7 +289,6 @@ def _cmd_tomography(args) -> dict:
 
 
 def _cmd_bell(args) -> dict:
-    _require_seed(args)
     spectrum = _parse_spectrum(args.spectrum)
     state = _vortex_state(args, spectrum)
     angles = tuple(math.radians(x) for x in
@@ -346,7 +340,6 @@ def _cmd_ekert(args) -> dict:
 
 
 def _cmd_soba(args) -> dict:
-    _require_seed(args)
     state = _parse_state(args.state, args.truncation)
     dist = soba.soba_route(state)
     cfg = _base_config(args)
@@ -358,7 +351,6 @@ def _cmd_soba(args) -> dict:
 
 
 def _cmd_densecode(args) -> dict:
-    _require_seed(args)
     spectrum = _parse_spectrum(args.spectrum or "canonical")
     result = soba.dense_coding_roundtrip(args.message, shots=args.shots,
                                          seed=args.seed,
@@ -404,9 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-K", "--truncation", type=int, default=None,
                         help="OAM truncation band |m| <= K (default 8)")
-    common.add_argument("--shots", type=int, default=None,
-                        help="number of sampled shots; 0 = analytic")
-    common.add_argument("--seed", type=int, default=None, help="PRNG seed")
+    # Only the commands that sample take --shots and --seed; ekert takes
+    # --seed alone, and state and tomography are exact.
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--shots", type=int, default=None,
+                         help="number of sampled shots; 0 = analytic")
+    sampled.add_argument("--seed", type=int, default=None, help="PRNG seed")
     # Only the commands that build a source from a spectrum take one.
     spectral = argparse.ArgumentParser(add_help=False)
     spectral.add_argument("--spectrum", type=str, default=None,
@@ -420,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pol", choices=(PRODUCT_HH, BELL_PHI_PLUS), default=PRODUCT_HH)
     p.add_argument("--label", type=str, default="psi+")
 
-    p = sub.add_parser("sorter", parents=[common], help="even/odd sorter run")
+    p = sub.add_parser("sorter", parents=[common, sampled], help="even/odd sorter run")
     p.add_argument("--m", type=int, default=None, help="single OAM input mode")
     p.add_argument("--state", type=str, default=None, help="input state JSON")
 
@@ -430,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=str, default=None,
                    help="also write (setup, port, intensity) rows to this file")
 
-    p = sub.add_parser("bell", parents=[common, spectral], help="CHSH coincidence run")
+    p = sub.add_parser("bell", parents=[common, sampled, spectral],
+                       help="CHSH coincidence run")
     p.add_argument("--theta", type=float, required=True, help="degrees")
     p.add_argument("--theta2", type=float, required=True, help="degrees")
     p.add_argument("--chi", type=float, required=True, help="degrees")
@@ -440,14 +436,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ekert", parents=[common, spectral],
                        help="entanglement-based key exchange")
     p.add_argument("--rounds", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None, help="PRNG seed")
     p.add_argument("--variant", choices=bell.VARIANTS, default="tunable_bs")
 
-    p = sub.add_parser("soba", parents=[common],
+    p = sub.add_parser("soba", parents=[common, sampled],
                        help="spin-orbit Bell-state analyzer")
     p.add_argument("--state", type=str, required=True,
                    help="psi+|psi-|phi+|phi- or custom state JSON")
 
-    p = sub.add_parser("densecode", parents=[common, spectral],
+    p = sub.add_parser("densecode", parents=[common, sampled, spectral],
                        help="superdense-coding round trip")
     p.add_argument("--message", type=str, required=True,
                    choices=tuple(sorted(soba.BITS_MESSAGE)))
@@ -464,22 +461,23 @@ def _env_int(env: dict, name: str, default):
 
 
 def _fill_defaults(args) -> None:
-    env = _env_defaults()
-    if args.truncation is None:
-        args.truncation = _env_int(env, "truncation", 8)
+    """Config-file defaults, applied only to the options the command has."""
+    env, options = _env_defaults(), vars(args)
+    for name, default in (("truncation", 8), ("shots", 0), ("seed", None)):
+        if name in options and options[name] is None:
+            options[name] = _env_int(env, name, default)
     if args.truncation < 1:
         raise ValidationError("truncation must satisfy K >= 1")
     if args.truncation > TRUNCATION_LIMIT:
         raise ValidationError(f"truncation {args.truncation} exceeds limit {TRUNCATION_LIMIT}")
-    if "spectrum" in vars(args) and args.spectrum is None and "spectrum" in env:
+    if "spectrum" in options and args.spectrum is None and "spectrum" in env:
         args.spectrum = env["spectrum"] if isinstance(env["spectrum"], str) \
             else json.dumps(env["spectrum"])
-    if args.shots is None:
-        args.shots = _env_int(env, "shots", 0)
-    if args.shots < 0:
+    shots = options.get("shots", 0)
+    if shots < 0:
         raise ValidationError("shots must be >= 0")
-    if args.seed is None:
-        args.seed = _env_int(env, "seed", None)
+    if shots > 0 and args.seed is None:
+        raise ValidationError("shots > 0 requires --seed")
 
 
 def _report(argv) -> dict:

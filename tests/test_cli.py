@@ -223,6 +223,20 @@ class TestStateCommand:
         assert len(report["state"]) > 0
         validate(report)
 
+    @pytest.mark.parametrize("argv, pols, mode, pump", [
+        (("--kind", "hyper", "--pol", "product_hh", "--pump", "0"),
+         {"HH", "VV"}, "bell_phi_plus", 1),
+        (("--kind", "spdc", "--pump", "0"), {"HH"}, "product_hh", 0),
+        (("--kind", "spdc", "--pol", "bell_phi_plus"), {"HH", "VV"}, "bell_phi_plus", 1),
+    ], ids=["hyper", "spdc", "spdc_phi_plus"])
+    def test_config_echoes_the_source_it_built(self, capsys, argv, pols, mode, pump):
+        code, report = run_json(capsys, "state", *argv)
+        assert code == 0
+        pairs = {r["photon1"]["pol"] + r["photon2"]["pol"] for r in report["state"]}
+        assert pairs == pols
+        assert report["config"]["polarization_mode"] == mode
+        assert report["config"]["pump_order"] == pump
+
     def test_bell_state(self, capsys):
         code, report = run_json(capsys, "state", "--kind", "bell",
                                 "--label", "phi-")
@@ -302,7 +316,7 @@ class TestCliContract:
         cfg = tmp_path / "defaults.json"
         cfg.write_text(json.dumps({"truncation": 5, "seed": 99}))
         monkeypatch.setenv("OAMSIM_CONFIG", str(cfg))
-        code, report = run_json(capsys, "state", "--kind", "spdc")
+        code, report = run_json(capsys, "sorter", "--m", "1")
         assert code == 0
         assert report["config"]["truncation"] == 5
         assert report["config"]["seed"] == 99
@@ -378,6 +392,33 @@ class TestCommandFlags:
         code, report = run_json(capsys, "sorter", "--m", "2")
         assert code == 0 and "spectrum" not in report["config"]
         assert "garbage" in assert_one_json_error(capsys, BELL_ARGS)["message"]
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    @pytest.mark.parametrize("flag", ["--shots", "--seed"])
+    def test_only_the_commands_that_sample_take_shots_and_seed(self, capsys, command, flag):
+        argv = [command, *(token for pair in _REQUIRED[command] for token in pair
+                           if pair != ("--seed", "1")), flag, "0"]
+        takes = command in ("sorter", "bell", "soba", "densecode") or \
+            (command, flag) == ("ekert", "--seed")
+        if takes:
+            assert run_json(capsys, *argv)[0] == 0
+        else:
+            error = assert_one_json_error(capsys, argv)
+            assert error["message"] == f"oamsim: unrecognized arguments: {flag} 0"
+
+    @pytest.mark.parametrize("argv", [
+        ("state", "--kind", "hyper"),
+        ("tomography", "--state", '{"coeffs":[[2,0.6,0.3],[3.0,-0.2,0.7]]}'),
+    ], ids=lambda argv: argv[0])
+    def test_config_shots_and_seed_leave_exact_reports_unchanged(
+            self, capsys, tmp_path, monkeypatch, argv):
+        want = run_cli(capsys, *argv)
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"shots": 1000, "seed": 9}))
+        monkeypatch.setenv("OAMSIM_CONFIG", str(cfg))
+        got = run_cli(capsys, *argv)
+        assert got == want and want[0] == 0
+        assert '"seed": null, "shots": 0' in got[1]
 
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_format_flag_is_gone(self, capsys, command):

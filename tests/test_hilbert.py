@@ -246,6 +246,16 @@ class TestModeBasis:
         s = PhotonState({mode(1): SQ2, mode(-2, V, "out"): SQ2}, 3)
         assert basis.from_vector(basis.to_vector(s)).amplitudes == s.amplitudes
 
+    def test_to_vector_writes_each_amplitude_as_a_loop_does(self):
+        basis = ModeBasis(("in", "out"), 3)
+        keys = [mode(m, pol, path) for path in ("out", "in") for pol in (V, H)
+                for m in range(3, -4, -1)]
+        s = PhotonState(dict(zip(keys, EDGE_VALUES * 5)), 3)
+        want = np.zeros(basis.size, dtype=complex)
+        for key, amp in s.amplitudes.items():
+            want[basis.index(key)] = amp
+        assert basis.to_vector(s).tobytes() == want.tobytes()
+
     def test_dimension_guard(self):
         paths = [f"p{i}" for i in range(100)]
         with pytest.raises(ValueError):

@@ -5,11 +5,12 @@ effective configuration, and the results; identical (command, config, seed)
 invocations produce byte-identical output.  Angles are accepted in degrees
 and converted once at this boundary.
 
-Exit codes: 0 success, 2 validation error (including a `tomography --csv`
+Exit codes: 0 success, 2 validation error (including an input mode outside
+the band, a `state` option its --kind does not read and a `tomography --csv`
 path that cannot be written), 3 guard error from the core (weight pushed
 across the truncation band edge, or an analytic CHSH value above the
-Tsirelson bound 2*sqrt(2)), 4 internal error: any other
-exception while building or serializing a report, printed as
+Tsirelson bound 2*sqrt(2)), 4 internal error: any other exception while
+building or serializing a report, printed as
 {"error": {"code": "internal", "message": "<type>: <text>"}}.
 """
 
@@ -28,7 +29,6 @@ from .hilbert import (
     DENSE_BYTES_LIMIT,
     PhotonState,
     SpectrumModel,
-    TruncationError,
     add_amplitude,
     is_integral,
     mode,
@@ -42,9 +42,9 @@ from .sources import (
     PRODUCT_HH,
     SourceSpec,
     canonical_pair_spectrum,
+    dropped_weight,
     normalize_spin_orbit_label,
     prepare_single_photon_bell,
-    source_band,
     spdc,
     vortex_symmetric,
 )
@@ -62,6 +62,11 @@ CONFIG_ENV = "OAMSIM_CONFIG"
 # up.  K is bounded by the same memory budget as the dense oracle.
 TRUNCATION_BYTES_PER_K = 20_000
 TRUNCATION_LIMIT = DENSE_BYTES_LIMIT // TRUNCATION_BYTES_PER_K
+
+# The options each `state --kind` reads, with their defaults; any other
+# state option given under that kind is a validation error.
+STATE_KINDS = {"spdc": {"spectrum": None, "pump": 1, "pol": PRODUCT_HH},
+               "hyper": {"spectrum": None}, "bell": {"label": "psi+"}}
 
 COMMANDS = ("state", "sorter", "tomography", "bell", "ekert", "soba", "densecode")
 
@@ -192,35 +197,22 @@ def _sampled_counts(args, probs: dict, key: int) -> dict:
     return {d: int(n) for d, n in zip(probs, counts)}
 
 
-def _vortex_state(args, spectrum):
-    spec = SourceSpec(1, spectrum, PRODUCT_HH, args.truncation)
-    return spdc(spec)
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
 
 def _cmd_state(args) -> dict:
-    spectrum = _parse_spectrum(args.spectrum)
-    cfg = _base_config(args, spectrum)
-    cfg["kind"] = args.kind
-    band = source_band(args.truncation)
     if args.kind == "bell":
-        label = normalize_spin_orbit_label(args.label)
-        cfg.update(label=label, pump_order=args.pump, polarization_mode=args.pol)
-        state = prepare_single_photon_bell(label, args.truncation)
-        return {"command": "state", "config": cfg,
-                "state": state_to_records(state)}
-    if args.kind == "hyper":
-        spec = SourceSpec(1, spectrum, BELL_PHI_PLUS, args.truncation)
-    else:
-        spec = SourceSpec(args.pump, spectrum, args.pol, args.truncation)
-    cfg.update(pump_order=spec.pump_order, polarization_mode=spec.polarization_mode)
-    state = spdc(spec)
-    report = {"command": "state", "config": cfg,
-              "state": state_to_records(state),
-              "out_of_band_weight": spectrum.out_of_band_weight(band)}
+        cfg = dict(_base_config(args), kind="bell", label=normalize_spin_orbit_label(args.label))
+        state = prepare_single_photon_bell(cfg["label"], args.truncation)
+        return {"command": "state", "config": cfg, "state": state_to_records(state)}
+    spectrum = _parse_spectrum(args.spectrum)
+    pump, pol = (1, BELL_PHI_PLUS) if args.kind == "hyper" else (args.pump, args.pol)
+    spec = SourceSpec(pump, spectrum, pol, args.truncation)
+    cfg = dict(_base_config(args, spectrum), kind=args.kind, pump_order=spec.pump_order,
+               polarization_mode=spec.polarization_mode)
+    report = {"command": "state", "config": cfg, "state": state_to_records(spdc(spec)),
+              "out_of_band_weight": dropped_weight(spec)}
     if spec.pump_order == 1:
         report["symmetric"] = vortex_symmetric(spectrum, args.truncation)
     return report
@@ -290,7 +282,7 @@ def _cmd_tomography(args) -> dict:
 
 def _cmd_bell(args) -> dict:
     spectrum = _parse_spectrum(args.spectrum)
-    state = _vortex_state(args, spectrum)
+    state = spdc(SourceSpec(1, spectrum, PRODUCT_HH, args.truncation))
     angles = tuple(math.radians(x) for x in
                    (args.theta, args.theta2, args.chi, args.chi2))
     result = bell.chsh(state, *angles, variant=args.variant,
@@ -322,7 +314,7 @@ def _cmd_ekert(args) -> dict:
     if args.seed is None:
         raise ValidationError("ekert requires --seed")
     spectrum = _parse_spectrum(args.spectrum)
-    state = _vortex_state(args, spectrum)
+    state = spdc(SourceSpec(1, spectrum, PRODUCT_HH, args.truncation))
     result = bell.ekert_run(state, args.rounds, args.seed, variant=args.variant)
     cfg = _base_config(args, spectrum)
     cfg.update({"rounds": args.rounds, "variant": args.variant})
@@ -409,11 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("state", parents=[common, spectral], help="emit a source state")
-    p.add_argument("--kind", choices=("spdc", "hyper", "bell"), default="spdc")
-    p.add_argument("--pump", type=int, choices=(0, 1), default=1)
-    p.add_argument("--pol", choices=(PRODUCT_HH, BELL_PHI_PLUS), default=PRODUCT_HH)
-    p.add_argument("--label", type=str, default="psi+")
+    # --pump, --pol and --label are on the args only when given.
+    p = sub.add_parser("state", parents=[common, spectral], help="emit a source state",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--kind", choices=tuple(STATE_KINDS), default="spdc")
+    p.add_argument("--pump", type=int, choices=(0, 1))
+    p.add_argument("--pol", choices=(PRODUCT_HH, BELL_PHI_PLUS))
+    p.add_argument("--label", type=str)
 
     p = sub.add_parser("sorter", parents=[common, sampled], help="even/odd sorter run")
     p.add_argument("--m", type=int, default=None, help="single OAM input mode")
@@ -463,6 +457,12 @@ def _env_int(env: dict, name: str, default):
 def _fill_defaults(args) -> None:
     """Config-file defaults, applied only to the options the command has."""
     env, options = _env_defaults(), vars(args)
+    if args.command == "state":  # drops the options the kind does not read
+        unread = [f"--{name}" for name in ("spectrum", "pump", "pol", "label")
+                  if name not in STATE_KINDS[args.kind] and options.pop(name, None) is not None]
+        if unread:
+            raise ValidationError(f"state --kind {args.kind} does not read {', '.join(unread)}")
+        options.update(STATE_KINDS[args.kind] | options)  # the kind's defaults
     for name, default in (("truncation", 8), ("shots", 0), ("seed", None)):
         if name in options and options[name] is None:
             options[name] = _env_int(env, name, default)
@@ -506,7 +506,7 @@ def main(argv=None) -> int:
         report = _report(argv)
     except SystemExit as exc:  # --help has printed its text
         return int(exc.code or 0)
-    except (WrapGuardError, TruncationError, bell.TsirelsonError) as exc:
+    except (WrapGuardError, bell.TsirelsonError) as exc:
         return _error("guard", str(exc), EXIT_GUARD)
     except ValueError as exc:
         return _error("validation", str(exc), EXIT_VALIDATION)

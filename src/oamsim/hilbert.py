@@ -62,8 +62,8 @@ DENSE_DIM_LIMIT = math.isqrt(DENSE_BYTES_LIMIT // np.dtype(complex).itemsize)
 # Largest input amplitude magnitude: squares summed over fewer than 1e8 modes
 # stay finite.
 AMPLITUDE_LIMIT = 1e150
-# out_of_band_weight sums about 12 * sigma tail terms at about 0.3 us each
-# (2-core host, Python 3.11), so the limit costs about 33 ms.
+# sources.dropped_weight sums about 2 * (K + 12 * sigma) terms at about
+# 0.3 us each (2-core host, Python 3.11), so the limit costs about 75 ms.
 GAUSSIAN_SIGMA_LIMIT = 1e4
 
 
@@ -379,23 +379,6 @@ class SpectrumModel:
         if total < 1e-300:
             raise ValueError("spectrum has zero total weight on the band")
         return {m: c / total for m, c in sorted(out.items())}
-
-    def out_of_band_weight(self, band: int) -> float:
-        """Fraction of the untruncated |c|^2 weight that falls outside the band."""
-        if self.kind == "uniform":
-            return 0.0  # defined on the band itself
-        if self.kind == "explicit":
-            return 0.0  # realize() rejects out-of-band support instead
-        inside = sum(self.weight(float(m)) for m in range(-band, band + 1))
-        outside = 0.0
-        m = band + 1
-        horizon = band + 1 + int(math.ceil(12.0 * self.sigma)) + 8
-        while m <= horizon:
-            w = self.weight(float(m))
-            outside += 2.0 * w
-            m += 1
-        total = inside + outside
-        return outside / total if total > 0 else 0.0
 
     def to_dict(self) -> dict:
         d: dict = {"kind": self.kind}

@@ -35,6 +35,7 @@ __all__ = [
     "BELL_PHI_PLUS",
     "SourceSpec",
     "source_band",
+    "dropped_weight",
     "spdc",
     "hyper_source",
     "hybrid_two_photon",
@@ -87,6 +88,33 @@ def _vortex_pair_indices(band: int) -> list[int]:
     # Pair index k groups OAM modes (2k, 2k+1) on photon 1, which by OAM
     # conservation puts photon 2 on (1-2k, -2k); all four must fit the band.
     return [k for k in range(-band, band + 1) if 2 * abs(k) + 1 <= band]
+
+
+def dropped_weight(spec: SourceSpec) -> float:
+    """Fraction of the untruncated spectral weight the source leaves out.
+
+    It is summed on the grid the source samples: each m for a Gaussian pump,
+    each pair (2k, 2k+1) at 2k + 1/2 for a vortex pump.  A uniform spectrum
+    is defined on the band and an explicit one is rejected outside it, so
+    both drop nothing.
+    """
+    spectrum = spec.spectrum
+    if spectrum.kind != "gaussian":
+        return 0.0
+    band = source_band(spec.truncation)
+    if spec.pump_order == 1:
+        kept, at = set(_vortex_pair_indices(band)), lambda k: 2 * k + 0.5
+    else:
+        kept, at = range(-band, band + 1), float
+    # Past 12 sigma beyond the band a weight is below exp(-144) of the tail's.
+    reach = band + math.ceil(12.0 * spectrum.sigma) + 8
+    inside = outside = 0.0
+    for i in range(-reach, reach + 1):
+        if i in kept:
+            inside += spectrum.weight(at(i))
+        else:
+            outside += spectrum.weight(at(i))
+    return outside / (inside + outside)
 
 
 def _vortex_oam_terms(spectrum: SpectrumModel, band: int):

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -224,8 +226,7 @@ class TestStateCommand:
         validate(report)
 
     @pytest.mark.parametrize("argv, pols, mode, pump", [
-        (("--kind", "hyper", "--pol", "product_hh", "--pump", "0"),
-         {"HH", "VV"}, "bell_phi_plus", 1),
+        (("--kind", "hyper"), {"HH", "VV"}, "bell_phi_plus", 1),
         (("--kind", "spdc", "--pump", "0"), {"HH"}, "product_hh", 0),
         (("--kind", "spdc", "--pol", "bell_phi_plus"), {"HH", "VV"}, "bell_phi_plus", 1),
     ], ids=["hyper", "spdc", "spdc_phi_plus"])
@@ -250,6 +251,52 @@ class TestStateCommand:
         assert code == 0
         assert report["out_of_band_weight"] > 0.0
 
+    @pytest.mark.parametrize("kind, option, value", [
+        ("spdc", "--label", "phi-"),
+        ("hyper", "--pump", "0"), ("hyper", "--pol", "product_hh"),
+        ("bell", "--pump", "1"), ("bell", "--pol", "product_hh"),
+        ("bell", "--spectrum", "uniform"),
+    ])
+    def test_an_option_the_kind_does_not_read_is_an_error(self, capsys, kind, option, value):
+        error = assert_one_json_error(capsys, ("state", "--kind", kind, option, value))
+        assert error["message"] == f"state --kind {kind} does not read {option}"
+
+    @pytest.mark.parametrize("kind, option, value", [
+        ("spdc", "--spectrum", "gaussian:2.0"), ("spdc", "--pump", "0"),
+        ("spdc", "--pol", "bell_phi_plus"), ("hyper", "--spectrum", "gaussian:2.0"),
+        ("bell", "--label", "phi-"),
+    ])
+    def test_an_option_the_kind_reads_changes_the_state(self, capsys, kind, option, value):
+        code, plain = run_json(capsys, "state", "--kind", kind)
+        assert code == 0
+        code, report = run_json(capsys, "state", "--kind", kind, option, value)
+        assert code == 0 and report["state"] != plain["state"]
+
+    def test_bell_kind_reads_no_config_spectrum(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"spectrum": "garbage"}))
+        monkeypatch.setenv("OAMSIM_CONFIG", str(cfg))
+        code, report = run_json(capsys, "state", "--kind", "bell")
+        assert code == 0
+        assert set(report["config"]) & {"spectrum", "pump_order", "polarization_mode"} == set()
+        assert report["config"]["label"] == "psi+"
+
+    @pytest.mark.parametrize("argv", [
+        ("sorter", "--m", "9"),
+        ("tomography", "--state", '{"coeffs":[[9,1.0]]}'),
+        ("state", "--spectrum", '{"kind":"explicit","coeffs":[[5,1]]}', "-K", "3"),
+    ], ids=["sorter", "tomography", "state"])
+    def test_an_input_outside_the_band_is_a_validation_error(self, capsys, argv):
+        error = assert_one_json_error(capsys, argv)
+        assert error["code"] == "validation" and "outside" in error["message"]
+
+
+# Each `oamsim ...` line of README's CLI block, as an argv.
+_README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+_README_ARGVS = [shlex.split(line, comments=True)[1:] for line in
+                 _README.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0].splitlines()
+                 if line.startswith("oamsim ")]
+
 
 def _raise_boom(args):
     raise RuntimeError("boom")
@@ -269,6 +316,15 @@ class TestCliContract:
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert out.startswith("usage: oamsim")
+
+    def test_readme_cli_block_is_found(self):
+        assert len(_README_ARGVS) >= 10
+
+    @pytest.mark.parametrize("argv", _README_ARGVS, ids=lambda argv: argv[0])
+    def test_readme_cli_lines_run(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, out
 
     def test_malformed_state_json(self, capsys):
         code, report = run_json(capsys, "tomography", "--state", "{broken")

@@ -33,8 +33,7 @@ def _run(argv):
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_report_is_byte_identical(case, monkeypatch, capsys):
-    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+def test_report_is_byte_identical(case, capsys):
     expected = (GOLDEN / f"{case['name']}.out").read_text(encoding="utf-8")
     assert _run(case["argv"]) == expected
 

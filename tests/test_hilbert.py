@@ -184,16 +184,6 @@ class TestSpectrumModel:
         with pytest.raises(TruncationError):
             model.realize(6)
 
-    def test_gaussian_out_of_band_weight(self):
-        model = SpectrumModel.gaussian(3.0)
-        band = 4
-        # independent tail sum over a wide window
-        w = [math.exp(-(m / 3.0) ** 2) for m in range(-200, 201)]
-        outside = sum(x for m, x in zip(range(-200, 201), w) if abs(m) > band)
-        expected = outside / sum(w)
-        assert model.out_of_band_weight(band) == pytest.approx(expected, rel=1e-9)
-        assert SpectrumModel.uniform().out_of_band_weight(band) == 0.0
-
     def test_dict_round_trip(self):
         for model in (SpectrumModel.uniform(), SpectrumModel.gaussian(1.25),
                       SpectrumModel.explicit({-2: 0.5, 1: 0.5j})):

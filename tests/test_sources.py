@@ -20,6 +20,7 @@ from oamsim.sources import (
     PRODUCT_HH,
     SourceSpec,
     canonical_pair_spectrum,
+    dropped_weight,
     hybrid_two_photon,
     hyper_source,
     postselect_partner,
@@ -93,6 +94,29 @@ class TestGaussianPump:
         state = spdc(SourceSpec(0, SpectrumModel.gaussian(2.0), PRODUCT_HH, 8))
         table = parity_marginals(state)
         assert table[(EVEN, EVEN)] + table[(ODD, ODD)] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestDroppedWeight:
+    # K = 6 leaves the band |m| <= 4 and the vortex pairs k = -1, 0, 1.
+    def test_gaussian_pump_on_each_m(self):
+        # independent tail sum over a wide window
+        w = {m: math.exp(-(m / 3.0) ** 2) for m in range(-200, 201)}
+        expected = sum(x for m, x in w.items() if abs(m) > 4) / sum(w.values())
+        spec = SourceSpec(0, SpectrumModel.gaussian(3.0), truncation=6)
+        assert dropped_weight(spec) == pytest.approx(expected, rel=1e-9)
+
+    def test_vortex_pump_on_each_pair(self):
+        # pair (2k, 2k+1) is weighted at 2k + 1/2 and kept while 2|k| + 1 <= 4
+        w = {k: math.exp(-((2 * k + 0.5) / 3.0) ** 2) for k in range(-200, 201)}
+        expected = sum(x for k, x in w.items() if abs(k) > 1) / sum(w.values())
+        spec = SourceSpec(1, SpectrumModel.gaussian(3.0), truncation=6)
+        assert dropped_weight(spec) == pytest.approx(expected, rel=1e-9)
+        assert expected > 1e-3
+
+    @pytest.mark.parametrize("pump", [0, 1])
+    def test_uniform_and_explicit_drop_nothing(self, pump):
+        for spectrum in (SpectrumModel.uniform(), canonical_pair_spectrum()):
+            assert dropped_weight(SourceSpec(pump, spectrum, truncation=6)) == 0.0
 
 
 class TestHyperSource:

@@ -244,6 +244,8 @@ class TestStateCommand:
         assert code == 0
         recs = report["state"]
         assert len(recs) == 2
+        assert report["config"]["label"] == "phi-"
+        assert not {"spectrum", "pump_order", "polarization_mode"} & set(report["config"])
 
     def test_gaussian_tail_reported(self, capsys):
         code, report = run_json(capsys, "state", "--spectrum", "gaussian:4.0",
@@ -271,15 +273,6 @@ class TestStateCommand:
         assert code == 0
         code, report = run_json(capsys, "state", "--kind", kind, option, value)
         assert code == 0 and report["state"] != plain["state"]
-
-    def test_bell_kind_reads_no_config_spectrum(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "defaults.json"
-        cfg.write_text(json.dumps({"spectrum": "garbage"}))
-        monkeypatch.setenv("OAMSIM_CONFIG", str(cfg))
-        code, report = run_json(capsys, "state", "--kind", "bell")
-        assert code == 0
-        assert set(report["config"]) & {"spectrum", "pump_order", "polarization_mode"} == set()
-        assert report["config"]["label"] == "psi+"
 
     @pytest.mark.parametrize("argv", [
         ("sorter", "--m", "9"),
@@ -445,8 +438,9 @@ class TestCommandFlags:
         cfg = tmp_path / "defaults.json"
         cfg.write_text(json.dumps({"spectrum": "garbage"}))
         monkeypatch.setenv("OAMSIM_CONFIG", str(cfg))
-        code, report = run_json(capsys, "sorter", "--m", "2")
-        assert code == 0 and "spectrum" not in report["config"]
+        for argv in (("sorter", "--m", "2"), ("state", "--kind", "bell")):
+            code, report = run_json(capsys, *argv)
+            assert code == 0 and "spectrum" not in report["config"]
         assert "garbage" in assert_one_json_error(capsys, BELL_ARGS)["message"]
 
     @pytest.mark.parametrize("command", cli.COMMANDS)

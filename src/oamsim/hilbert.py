@@ -63,7 +63,7 @@ DENSE_DIM_LIMIT = math.isqrt(DENSE_BYTES_LIMIT // np.dtype(complex).itemsize)
 # stay finite.
 AMPLITUDE_LIMIT = 1e150
 # sources.dropped_weight sums about 2 * (K + 12 * sigma) terms at about
-# 0.3 us each (2-core host, Python 3.11), so the limit costs about 75 ms.
+# 0.35 us each (2-core host, Python 3.11), so the limit costs 80-100 ms.
 GAUSSIAN_SIGMA_LIMIT = 1e4
 
 

@@ -91,29 +91,23 @@ def _vortex_pair_indices(band: int) -> list[int]:
 
 
 def dropped_weight(spec: SourceSpec) -> float:
-    """Fraction of the untruncated spectral weight the source leaves out.
-
-    It is summed on the grid the source samples: each m for a Gaussian pump,
-    each pair (2k, 2k+1) at 2k + 1/2 for a vortex pump.  A uniform spectrum
-    is defined on the band and an explicit one is rejected outside it, so
-    both drop nothing.
-    """
-    spectrum = spec.spectrum
+    """Fraction of the untruncated spectral weight the source leaves out, on
+    the grid it samples: each m for a Gaussian pump, each pair (2k, 2k+1) at
+    2k + 1/2 for a vortex pump.  Uniform and explicit spectra drop nothing:
+    the one is defined on the band, the other is rejected outside it."""
+    spectrum, band = spec.spectrum, source_band(spec.truncation)
     if spectrum.kind != "gaussian":
         return 0.0
-    band = source_band(spec.truncation)
     if spec.pump_order == 1:
-        kept, at = set(_vortex_pair_indices(band)), lambda k: 2 * k + 0.5
+        kept, at = _vortex_pair_indices(band), lambda k: 2 * k + 0.5
     else:
         kept, at = range(-band, band + 1), float
-    # Past 12 sigma beyond the band a weight is below exp(-144) of the tail's.
+    # Both grids keep one run of indices.  Past 12 sigma beyond the band a
+    # weight is below exp(-144) of the tail's.
     reach = band + math.ceil(12.0 * spectrum.sigma) + 8
-    inside = outside = 0.0
-    for i in range(-reach, reach + 1):
-        if i in kept:
-            inside += spectrum.weight(at(i))
-        else:
-            outside += spectrum.weight(at(i))
+    inside = sum(spectrum.weight(at(i)) for i in kept)
+    outside = sum(spectrum.weight(at(i)) for i in range(-reach, reach + 1)
+                  if not kept[0] <= i <= kept[-1])
     return outside / (inside + outside)
 
 

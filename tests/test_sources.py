@@ -111,7 +111,6 @@ class TestDroppedWeight:
         expected = sum(x for k, x in w.items() if abs(k) > 1) / sum(w.values())
         spec = SourceSpec(1, SpectrumModel.gaussian(3.0), truncation=6)
         assert dropped_weight(spec) == pytest.approx(expected, rel=1e-9)
-        assert expected > 1e-3
 
     @pytest.mark.parametrize("pump", [0, 1])
     def test_uniform_and_explicit_drop_nothing(self, pump):

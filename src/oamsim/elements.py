@@ -104,11 +104,17 @@ class WrapGuardError(RuntimeError):
     """An OAM shift moved non-negligible weight across the band edge."""
 
 
+# kind -> (paths per side, 0 if it acts in place on any number; parameter names)
+_KINDS = {"bs": (2, ("t",)), "pbs": (2, ()), "mirror": (1, ()),
+          "dove": (0, ("alpha",)), "spp": (0, ("q",)), "hwp": (0, ("theta",)),
+          "phase": (0, ("phi",)), "oc_p": (0, ()), "pc_o": (0, ())}
+
+
 @dataclass(frozen=True, eq=True)
 class Element:
-    """One element on named paths.  `params` is a read-only mapping, so one
-    element can be shared by every caller of a memoized setup; the hash
-    leaves it out, which keeps equal elements hashing equal."""
+    """One element on named paths; kind, ports and parameters are checked
+    when built.  The read-only `params` lets one element serve every caller
+    of a memoized setup; the hash leaves it out, so equal elements hash equal."""
 
     kind: str
     in_paths: tuple[str, ...]
@@ -118,8 +124,14 @@ class Element:
     def __post_init__(self):
         object.__setattr__(self, "in_paths", _port_paths(self.in_paths))
         object.__setattr__(self, "out_paths", _port_paths(self.out_paths))
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown element kind {self.kind!r}")
         _check_ports(self.kind, self.in_paths, self.out_paths)
+        params, names = dict(self.params), _KINDS[self.kind][1]
+        if params.keys() != set(names):
+            raise ValueError(f"{self.kind} takes the parameters {names}, got {tuple(params)}")
+        object.__setattr__(self, "params", MappingProxyType(
+            {name: _param(name, value) for name, value in params.items()}))
 
     def __reduce__(self):  # a mappingproxy does not pickle; its dict does
         return type(self), (self.kind, self.in_paths, self.out_paths, dict(self.params))
@@ -149,48 +161,43 @@ def _port_paths(paths) -> tuple[str, ...]:
 
 
 def _check_ports(kind: str, in_paths, out_paths) -> None:
-    """Reject a port layout that no element of `kind` can have.
+    """Reject a port layout that no element of the known `kind` can have.
 
     bs and pbs take two input and two output paths and mirror one of each,
     all distinct; the other kinds act in place, so their output paths are
-    their input paths, pairwise distinct.  An unknown kind is left to fail
-    where it is applied.
+    their input paths, pairwise distinct.
     """
-    if kind in _ARITY:
-        arity = _ARITY[kind]
+    arity = _KINDS[kind][0]
+    if arity:
         if len(in_paths) != arity or len(out_paths) != arity:
             raise ValueError(f"{kind} takes {arity} input and {arity} output paths")
         if set(in_paths) & set(out_paths):
             raise ValueError("mirror must relabel the path" if kind == "mirror"
                              else "input and output paths must be distinct")
-    elif kind not in _KINDS:
-        return
     elif out_paths != in_paths:
         raise ValueError(f"{kind} acts in place: its output paths must be its input paths")
     if len(set(in_paths)) != len(in_paths) or len(set(out_paths)) != len(out_paths):
         raise ValueError("port paths must be pairwise distinct")
 
 
-def _assert_local_unitary(a, b, c, d) -> None:
-    """Every entry of U^H U - I for U = [[a, b], [c, d]] lies within 1e-12.
-
-    Each test reads `not gap <= tol`, so a NaN entry fails it.
-    """
-    diag_a = abs(abs(a) ** 2 + abs(c) ** 2 - 1.0)
-    diag_b = abs(abs(b) ** 2 + abs(d) ** 2 - 1.0)
-    off = abs(a.conjugate() * b + c.conjugate() * d)
-    if not (diag_a <= 1e-12 and diag_b <= 1e-12 and off <= 1e-12):
-        raise ValueError("element parameters do not give a unitary action")
+def _param(name: str, value):
+    """A parameter as stored: q an int, t a float in [0, 1], an angle a finite
+    float, and theta one whose double is finite (hwp reads cos(2 theta))."""
+    if name == "q":  # int() reads only whole numbers from text
+        if int(value) != value and not isinstance(value, (str, bytes)):
+            raise ValueError(f"spiral phase plate order must be an integer, got {value!r}")
+        return int(value)
+    value = float(value)
+    if name == "t" and not 0.0 <= value <= 1.0:
+        raise ValueError(f"transmission amplitude must lie in [0, 1], got {value}")
+    if not math.isfinite(2.0 * value if name == "theta" else value):
+        raise ValueError(f"angle {name} out of range, got {value}")
+    return value
 
 
 def beam_splitter(in_a: str, in_b: str, out_a: str, out_b: str,
                   t: float = 1.0 / math.sqrt(2.0)) -> Element:
     """Two-port splitter; out_a takes t from in_a and i*r from in_b."""
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transmission amplitude must lie in [0, 1], got {t}")
-    r = math.sqrt(max(0.0, 1.0 - t * t))
-    _assert_local_unitary(t, 1j * r, 1j * r, t)
     return Element("bs", (in_a, in_b), (out_a, out_b), {"t": t})
 
 
@@ -199,29 +206,18 @@ def polarizing_bs(in_a: str, in_b: str, out_a: str, out_b: str) -> Element:
 
 
 def dove_prism(path: str, alpha: float) -> Element:
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError("dove prism rotation must be finite")
     return Element("dove", (path,), (path,), {"alpha": alpha})
 
 
 def spiral_phase_plate(path: str, q: int) -> Element:
-    return Element("spp", (path,), (path,), {"q": int(q)})
+    return Element("spp", (path,), (path,), {"q": q})
 
 
 def half_wave_plate(path: str, theta: float) -> Element:
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError("half-wave plate angle must be finite")
-    c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
-    _assert_local_unitary(c, s, s, -c)
     return Element("hwp", (path,), (path,), {"theta": theta})
 
 
 def phase_delay(path: str, phi: float) -> Element:
-    phi = float(phi)
-    if not math.isfinite(phi):
-        raise ValueError("phase delay must be finite")
     return Element("phase", (path,), (path,), {"phi": phi})
 
 
@@ -235,10 +231,6 @@ def _wrap_m(m: int, truncation: int) -> tuple[int, bool]:
     return wrapped, wrapped != m
 
 
-_KINDS = frozenset(("bs", "pbs", "dove", "spp", "hwp", "phase", "mirror", "oc_p", "pc_o"))
-_ARITY = {"bs": 2, "pbs": 2, "mirror": 1}  # the kinds with distinct input and output paths
-
-
 def _key_action(elem: Element, key: ModeKey, truncation: int):
     """Targets of one basis mode: list of (new_key, factor, crossed_band_edge).
 
@@ -247,8 +239,6 @@ def _key_action(elem: Element, key: ModeKey, truncation: int):
     unitary on the whole basis, not just an isometry on fed ports.
     """
     kind = elem.kind
-    if kind not in _KINDS:
-        raise ValueError(f"unknown element kind {kind!r}")
     path, pol, m = key
     if path in elem.in_paths:
         port = elem.in_paths.index(path)
@@ -544,8 +534,6 @@ def _band_rules(elem: Element, basis: ModeBasis) -> tuple[list, list]:
     f2 times (sb2, m).
     """
     kind = elem.kind
-    if kind not in _KINDS:
-        raise ValueError(f"unknown element kind {kind!r}")
     k = basis.truncation
     span = 2 * k + 1
     position = basis.paths.index

@@ -62,8 +62,9 @@ DENSE_DIM_LIMIT = math.isqrt(DENSE_BYTES_LIMIT // np.dtype(complex).itemsize)
 # Largest input amplitude magnitude: squares summed over fewer than 1e8 modes
 # stay finite.
 AMPLITUDE_LIMIT = 1e150
-# sources.dropped_weight sums about 2 * (K + 12 * sigma) terms at about
-# 0.35 us each (2-core host, Python 3.11), so the limit costs 80-100 ms.
+# sources.dropped_weight sums about 2 * (K + 12 * sigma) terms for a Gaussian
+# pump and half as many for a vortex pump, at about 0.35 us each (2-core host,
+# Python 3.11), so the limit costs 75-100 ms and about 30 ms.
 GAUSSIAN_SIGMA_LIMIT = 1e4
 
 
@@ -259,8 +260,9 @@ class TwoPhotonState(_SparseState):
     _check = staticmethod(_check_joint)
 
     def slot_paths(self, slot: int) -> tuple[str, ...]:
-        i = 0 if slot == 1 else 1
-        return tuple(sorted({key[i].path for key in self.amplitudes}))
+        if slot not in (1, 2):
+            raise ValueError("slot must be 1 or 2 for a two-photon state")
+        return tuple(sorted({key[slot - 1].path for key in self.amplitudes}))
 
     def modes(self) -> Iterator[ModeKey]:
         """The mode of each photon of every occupied joint key."""
@@ -285,14 +287,9 @@ def inner_product(a, b) -> complex:
     if a.truncation != b.truncation:
         raise TruncationError(
             f"mismatched truncation bands {a.truncation} != {b.truncation}")
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
     total = 0.0 + 0.0j
-    if small is a:
-        for key, amp in a.amplitudes.items():
-            total += amp.conjugate() * b.amplitudes.get(key, 0.0)
-    else:
-        for key, amp in b.amplitudes.items():
-            total += a.amplitudes.get(key, 0.0).conjugate() * amp
+    for key, amp in a.amplitudes.items():
+        total += amp.conjugate() * b.amplitudes.get(key, 0.0)
     return total
 
 

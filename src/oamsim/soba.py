@@ -72,8 +72,6 @@ def normalize_polarization_label(label: str) -> str:
 def _gate(kind: str, state, slot: int):
     """Gate element on every path the addressed photon occupies."""
     if isinstance(state, TwoPhotonState):
-        if slot not in (1, 2):
-            raise ValueError("slot must be 1 or 2 for a two-photon state")
         paths = state.slot_paths(slot)
     elif isinstance(state, PhotonState):
         paths = state.paths()

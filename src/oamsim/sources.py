@@ -98,13 +98,14 @@ def dropped_weight(spec: SourceSpec) -> float:
     spectrum, band = spec.spectrum, source_band(spec.truncation)
     if spectrum.kind != "gaussian":
         return 0.0
-    if spec.pump_order == 1:
-        kept, at = _vortex_pair_indices(band), lambda k: 2 * k + 0.5
-    else:
-        kept, at = range(-band, band + 1), float
     # Both grids keep one run of indices.  Past 12 sigma beyond the band a
     # weight is below exp(-144) of the tail's.
     reach = band + math.ceil(12.0 * spectrum.sigma) + 8
+    if spec.pump_order == 1:  # x = 2k + 1/2 covers the reach at half the k
+        kept, at = _vortex_pair_indices(band), lambda k: 2 * k + 0.5
+        reach = (reach + 1) // 2
+    else:
+        kept, at = range(-band, band + 1), float
     inside = sum(spectrum.weight(at(i)) for i in kept)
     outside = sum(spectrum.weight(at(i)) for i in range(-reach, reach + 1)
                   if not kept[0] <= i <= kept[-1])

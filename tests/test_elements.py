@@ -18,7 +18,6 @@ from oamsim.elements import (
     Element,
     WrapGuardError,
     _action_table,
-    _assert_local_unitary,
     _key_action,
     apply_circuit,
     apply_element,
@@ -211,16 +210,52 @@ class TestSingleElements:
         with pytest.raises(ValueError):
             half_wave_plate("in", theta)
 
-    @pytest.mark.parametrize("entries", [
-        (math.nan, 0.0, 0.0, 1.0),
-        (1.0, math.nan, 0.0, 1.0),
-        (1.0, 0.0, 0.0, 1.0 + 2e-12),
-        (1.0, 2e-12, 0.0, 1.0),
-    ])
-    def test_local_unitary_check_fails_on_nan_and_gaps(self, entries):
-        with pytest.raises(ValueError):
-            _assert_local_unitary(*entries)
-        _assert_local_unitary(SQ2, 1j * SQ2, 1j * SQ2, SQ2 + 5e-13)
+    @pytest.mark.parametrize("outs", [("p0",), ("p1",)], ids=["in_place", "relabelled"])
+    def test_unknown_element_kind_raises_when_built(self, outs):
+        with pytest.raises(ValueError, match="unknown element kind 'prism'"):
+            Element("prism", ("p0",), outs)
+
+    # Parameters no factory passes, built as a bare Element.
+    BAD_PARAMS = [
+        ("bs", {"t": 2.0}, "transmission amplitude"),
+        ("bs", {}, r"bs takes the parameters \('t',\), got \(\)"),
+        ("dove", {"alpha": 1.0, "beta": 2.0}, r"got \('alpha', 'beta'\)"),
+        ("pbs", {"t": 0.5}, "pbs takes the parameters"),
+        ("dove", {"alpha": math.nan}, "angle alpha out of range"),
+        ("phase", {"phi": math.inf}, "angle phi out of range"),
+        ("hwp", {"theta": math.nan}, "angle theta out of range"),
+        ("spp", {"q": 0.5}, "order must be an integer"),
+    ]
+
+    @pytest.mark.parametrize("kind,params,message", BAD_PARAMS, ids=[
+        "t_above_one", "t_missing", "extra_beta", "pbs_with_t",
+        "alpha_nan", "phi_inf", "theta_nan", "q_half"])
+    def test_bad_parameters_rejected_when_built(self, kind, params, message):
+        ins, outs = (("a", "b"), ("c", "d")) if kind in ("bs", "pbs") else (("a",), ("a",))
+        with pytest.raises(ValueError, match=message):
+            Element(kind, ins, outs, params)
+
+    @pytest.mark.parametrize("factory,name,good,bad", [
+        (lambda path, t: beam_splitter(path, "b", "c", "d", t=t), "t",
+         [0, 1, SQ2, "0.5", np.float32(0.25)], [1.2, -0.1, math.nan, "x"]),
+        (spiral_phase_plate, "q", [1, 1.0, True, "-3", np.int64(5), 10 ** 30], [1.5, "1.5"]),
+        (half_wave_plate, "theta", [8e307, -8e307, "0.25", 1], [9e307, -9e307, "nan"]),
+        (dove_prism, "alpha", [1e308, np.float32(2.0), 3], [math.inf, "abc"]),
+        (phase_delay, "phi", [-1e308, 0], [-math.inf, math.nan]),
+    ], ids=["bs", "spp", "hwp", "dove", "phase"])
+    def test_a_bare_element_builds_what_its_factory_builds(self, factory, name, good, bad):
+        """Each factory's conversion (int for q, float otherwise) and range
+        are the element's own, so the same argument builds the same element,
+        _ident included, either way."""
+        convert = int if name == "q" else float
+        for value in good:
+            elem = factory("p", value)
+            bare = Element(elem.kind, elem.in_paths, elem.out_paths, {name: value})
+            assert elem == bare and elem._ident == bare._ident
+            assert type(elem.params[name]) is convert and elem.params[name] == convert(value)
+        for value in bad:
+            with pytest.raises(ValueError):
+                factory("p", value)
 
 
 class TestSorter:
@@ -748,19 +783,6 @@ class TestDenseOracle:
         with pytest.raises(TruncationError, match="K >= 1"):
             circuit_unitary(build_sorter(), truncation)
 
-    def test_unknown_element_kind_raises(self):
-        elem = Element("prism", ("p0",), ("p0",))
-        basis = ModeBasis(("p0",), 1)
-        with pytest.raises(ValueError):
-            element_matrix(elem, basis)
-        with pytest.raises(ValueError):
-            circuit_unitary(Circuit("bad", (elem,), "p0", ()), 1)
-
-    def test_unknown_element_kind_raises_for_modes_off_its_paths(self):
-        elem = Element("prism", ("p0",), ("p1",))
-        state = PhotonState({mode(0, H, "q"): 1.0}, 2)
-        with pytest.raises(ValueError, match="unknown element kind"):
-            apply_element(elem, state)
 
 
 def every_kind_circuit(rng):

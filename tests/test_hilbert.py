@@ -120,6 +120,13 @@ class TestStateCore:
         with pytest.raises(TypeError):
             inner_product(pair, PhotonState({mode(0): 1.0}, 2))
 
+    @pytest.mark.parametrize("slot", [0, 3, "both"])
+    def test_slot_paths_reads_photon_one_or_two_only(self, slot):
+        pair = TwoPhotonState({(mode(0), mode(1, V, "b")): 1.0}, 2)
+        assert pair.slot_paths(1) == ("in",) and pair.slot_paths(2) == ("b",)
+        with pytest.raises(ValueError, match="slot must be 1 or 2 for a two-photon state"):
+            pair.slot_paths(slot)
+
     @pytest.mark.parametrize("state", [
         PhotonState({mode(0): 0.5}, 4),
         TwoPhotonState({(mode(0), mode(1)): 0.5}, 4),

@@ -17,8 +17,10 @@ Conventions (fixed package-wide):
 
 Elements and circuits are immutable; application is a pure function.  What
 an element does to each basis mode is computed once per (element, K) and
-kept in a bounded LRU (see ACTION_CACHE_SIZE); the built-in setups are built
-once per process.
+kept in a bounded LRU (see ACTION_CACHE_SIZE); the built-in setups, and the
+projection elements that do not depend on theta, are built once per
+process.  A pass of any kind but the mixers bs and hwp writes each key once
+and cleans in the same loop; a mixer sums, then is cleaned.
 
 The dense oracle reads neither `_key_action` nor that cache: `_band_rules`
 states each element's action a second time, as rules on whole (path, pol)
@@ -63,6 +65,7 @@ from .hilbert import (
     V,
     ModeBasis,
     ModeKey,
+    PRUNE_EPS,
     PhotonState,
     TwoPhotonState,
     _clean_amplitudes,
@@ -184,9 +187,12 @@ def _param(name: str, value):
     """A parameter as stored: q an int, t a float in [0, 1], an angle a finite
     float, and theta one whose double is finite (hwp reads cos(2 theta))."""
     if name == "q":  # int() reads only whole numbers from text
-        if int(value) != value and not isinstance(value, (str, bytes)):
-            raise ValueError(f"spiral phase plate order must be an integer, got {value!r}")
-        return int(value)
+        try:
+            if int(value) == value or isinstance(value, (str, bytes)):
+                return int(value)
+        except OverflowError:  # an infinite order
+            pass
+        raise ValueError(f"spiral phase plate order must be an integer, got {value!r}")
     value = float(value)
     if name == "t" and not 0.0 <= value <= 1.0:
         raise ValueError(f"transmission amplitude must lie in [0, 1], got {value}")
@@ -303,39 +309,77 @@ def _action_table(elem: Element, truncation: int) -> dict:
     return _table((elem._ident, truncation))
 
 
-def _apply_pass(elem: Element, amps: dict, truncation: int, idx, wrap_guard) -> dict:
+def _apply_pass(elem: Element, amps: dict, truncation: int, idx, wrap_guard,
+                clean: bool) -> dict:
     """One pass of `elem` over amplitudes; `idx` is the photon of a joint key
-    (0 or 1), or None for single-photon keys."""
+    (0 or 1), or None for single-photon keys, with one loop per case.
+
+    With `clean` (the element's last pass) the output is cleaned as the
+    state constructor cleans it: zero and below-PRUNE_EPS amplitudes
+    dropped, signed zeros cleared by 0j + z.  A mixer (bs, hwp) sums what
+    lands on each key, then `_clean_amplitudes` walks the sums; any other
+    kind is a phased permutation that writes each key once, so it writes
+    0j + z and skips |z| < PRUNE_EPS in the same loop, after taking the
+    wrapped weight.
+    """
     table = _action_table(elem, truncation)
+    once = clean and elem.kind not in ("bs", "hwp")
     out: dict = {}
     wrapped_weight = 0.0
-    for key, amp in amps.items():
-        mode_key = key if idx is None else key[idx]
-        action = table.get(mode_key)
-        if action is None:
-            action = table[mode_key] = _key_action(elem, mode_key, truncation)
-        for new_key, factor, wrapped in action:
-            contrib = amp * factor
-            if wrapped:
-                wrapped_weight += abs(contrib) ** 2
-            if idx is not None:
-                new_key = (new_key, key[1]) if idx == 0 else (key[0], new_key)
-            out[new_key] = out.get(new_key, 0.0 + 0.0j) + contrib
+    if idx is None:
+        for mode_key, amp in amps.items():
+            action = table.get(mode_key) or _fill(table, elem, mode_key, truncation)
+            for new_key, factor, wrapped in action:
+                contrib = amp * factor
+                if wrapped:
+                    wrapped_weight += abs(contrib) ** 2
+                if not once:
+                    out[new_key] = out.get(new_key, 0.0 + 0.0j) + contrib
+                elif not abs(contrib) < PRUNE_EPS:  # a NaN is kept, not hidden
+                    out[new_key] = 0j + contrib
+    elif idx == 0:
+        for (mode_key, other), amp in amps.items():
+            action = table.get(mode_key) or _fill(table, elem, mode_key, truncation)
+            for new_key, factor, wrapped in action:
+                contrib = amp * factor
+                if wrapped:
+                    wrapped_weight += abs(contrib) ** 2
+                new_key = (new_key, other)
+                if not once:
+                    out[new_key] = out.get(new_key, 0.0 + 0.0j) + contrib
+                elif not abs(contrib) < PRUNE_EPS:
+                    out[new_key] = 0j + contrib
+    else:
+        for (other, mode_key), amp in amps.items():
+            action = table.get(mode_key) or _fill(table, elem, mode_key, truncation)
+            for new_key, factor, wrapped in action:
+                contrib = amp * factor
+                if wrapped:
+                    wrapped_weight += abs(contrib) ** 2
+                new_key = (other, new_key)
+                if not once:
+                    out[new_key] = out.get(new_key, 0.0 + 0.0j) + contrib
+                elif not abs(contrib) < PRUNE_EPS:
+                    out[new_key] = 0j + contrib
     if wrap_guard is not None and wrapped_weight > wrap_guard:
         raise WrapGuardError(
             f"{elem.kind} moved weight {wrapped_weight:.3e} across the band edge")
-    return out
+    return _clean_amplitudes(out.items()) if clean and not once else out
+
+
+def _fill(table: dict, elem: Element, mode_key: ModeKey, truncation: int) -> list:
+    action = table[mode_key] = _key_action(elem, mode_key, truncation)
+    return action
 
 
 def _evolve(elements, state, slot, wrap_guard):
     """Apply `elements` in order to the raw amplitudes of `state`.
 
-    After every element the amplitudes are cleaned exactly as the state
-    constructor cleans them (zero and PRUNE_EPS drops, signed zeros
-    cleared), so the result equals building a state after every element,
-    bit for bit.  It skips the constructor's band check: every key a pass
-    writes is in band, since only `spp` and the gates change m and
-    `_wrap_m` wraps it.
+    Each element's last pass leaves the amplitudes cleaned exactly as the
+    state constructor cleans them (see `_apply_pass`), so the result equals
+    building a state after every element, bit for bit.  It skips the
+    constructor's band check: every key a pass writes is in band, since
+    only `spp` and the gates change m and `_wrap_m` wraps it.
     """
     if isinstance(state, PhotonState):
         idxs = (None,)
@@ -347,10 +391,10 @@ def _evolve(elements, state, slot, wrap_guard):
         raise TypeError(f"cannot apply element to {type(state).__name__}")
     k = state.truncation
     amps = state.amplitudes if elements else dict(state.amplitudes)
+    last = idxs[-1]
     for elem in elements:
         for idx in idxs:
-            amps = _apply_pass(elem, amps, k, idx, wrap_guard)
-        amps = _clean_amplitudes(amps.items())
+            amps = _apply_pass(elem, amps, k, idx, wrap_guard, idx == last)
     return type(state)._from_clean(amps, k)
 
 
@@ -406,9 +450,17 @@ def coincidence_detect(state: TwoPhotonState, path1: str, path2: str) -> float:
 
 def readout(circuit: Circuit, state: PhotonState,
             wrap_guard=WRAP_GUARD) -> dict[str, float]:
-    """Send one photon through `circuit`; click probability per detector path."""
+    """Send one photon through `circuit`; click probability per detector path.
+
+    One pass over the output sums each path in the order detect would, so
+    every value equals detect(out, path).
+    """
     out = apply_circuit(circuit, state, wrap_guard=wrap_guard)
-    return {path: detect(out, path) for path in circuit.detector_paths}
+    probs = dict.fromkeys(circuit.detector_paths, 0.0)
+    for key, amp in out.amplitudes.items():
+        if key.path in probs:
+            probs[key.path] += abs(amp) ** 2
+    return probs
 
 
 def joint_readout(circuit1: Circuit, circuit2: Circuit, pair: TwoPhotonState,
@@ -456,29 +508,36 @@ def build_sorter() -> Circuit:
     )
 
 
-def _analyzer_front(tag: str = "a_") -> list[Element]:
+@functools.cache
+def _analyzer_front() -> tuple[Element, ...]:
     # Sorter followed by an order +1 spiral plate in the even arm, so both
     # arms interfere on the odd mode of each (2k, 2k+1) pair.
-    elems = _sorter_elements("in", "even_arm", "odd_arm", tag)
-    elems.append(spiral_phase_plate("even_arm", +1))
-    return elems
+    return (*_sorter_elements("in", "even_arm", "odd_arm", "a_"),
+            spiral_phase_plate("even_arm", +1))
 
 
 @functools.cache
 def build_s2_setup() -> Circuit:
     """Diagonal-basis analyzer; s2 = P(d2) - P(d1)."""
-    elems = _analyzer_front()
-    elems.append(beam_splitter("odd_arm", "even_arm", "d1", "d2"))
-    return Circuit("s2_setup", tuple(elems), "in", ("d1", "d2"))
+    elems = (*_analyzer_front(), beam_splitter("odd_arm", "even_arm", "d1", "d2"))
+    return Circuit("s2_setup", elems, "in", ("d1", "d2"))
 
 
 @functools.cache
 def build_s3_setup() -> Circuit:
     """Circular-basis analyzer: extra quarter-cycle delay; s3 = P(d2) - P(d1)."""
-    elems = _analyzer_front()
-    elems.append(phase_delay("even_arm", math.pi / 2.0))
-    elems.append(beam_splitter("odd_arm", "even_arm", "d1", "d2"))
-    return Circuit("s3_setup", tuple(elems), "in", ("d1", "d2"))
+    elems = (*_analyzer_front(), phase_delay("even_arm", math.pi / 2.0),
+             beam_splitter("odd_arm", "even_arm", "d1", "d2"))
+    return Circuit("s3_setup", elems, "in", ("d1", "d2"))
+
+
+@functools.cache
+def _polarization_fixed() -> tuple[Element, Element, Element]:
+    # The polarization projection's elements that do not depend on theta:
+    # the arm-tagging plate, the merging splitter and the final splitter.
+    return (half_wave_plate("even_arm", math.pi / 4.0),
+            polarizing_bs("odd_arm", "even_arm", "merged", "discard"),
+            polarizing_bs("merged", "aux", "p_theta_perp", "p_theta"))
 
 
 def build_projection(theta: float, variant: str = "tunable_bs") -> Circuit:
@@ -493,27 +552,24 @@ def build_projection(theta: float, variant: str = "tunable_bs") -> Circuit:
       * "polarization": the arms are tagged with orthogonal polarizations,
         merged on a polarizing splitter, rotated by a half-wave plate at
         theta/2 and split again (requires H-polarized input).
+
+    Only the theta element is built per call; the others are built once
+    and shared by every projection and by the two analyzers.
     """
     theta = float(theta) % math.pi
     if variant == "tunable_bs":
-        elems = _analyzer_front()
         # A projector beyond pi/2 is the perpendicular port of the analyzer
         # at theta - pi/2, which keeps the splitter transmission in [0, 1].
         if math.cos(theta) >= 0.0:
             t, out_a, out_b = math.cos(theta), "p_theta_perp", "p_theta"
         else:
             t, out_a, out_b = math.cos(theta - math.pi / 2.0), "p_theta", "p_theta_perp"
-        elems.append(beam_splitter("odd_arm", "even_arm", out_a, out_b, t=t))
-        return Circuit("projection_tunable", tuple(elems), "in",
-                       ("p_theta", "p_theta_perp"))
+        elems = (*_analyzer_front(), beam_splitter("odd_arm", "even_arm", out_a, out_b, t=t))
+        return Circuit("projection_tunable", elems, "in", ("p_theta", "p_theta_perp"))
     if variant == "polarization":
-        elems = _analyzer_front()
-        elems.append(half_wave_plate("even_arm", math.pi / 4.0))
-        elems.append(polarizing_bs("odd_arm", "even_arm", "merged", "discard"))
-        elems.append(half_wave_plate("merged", theta / 2.0))
-        elems.append(polarizing_bs("merged", "aux", "p_theta_perp", "p_theta"))
-        return Circuit("projection_polarization", tuple(elems), "in",
-                       ("p_theta", "p_theta_perp"))
+        tag, merge, split = _polarization_fixed()
+        elems = (*_analyzer_front(), tag, merge, half_wave_plate("merged", theta / 2.0), split)
+        return Circuit("projection_polarization", elems, "in", ("p_theta", "p_theta_perp"))
     raise ValueError(f"unknown projection variant {variant!r}")
 
 

@@ -109,6 +109,8 @@ def dropped_weight(spec: SourceSpec) -> float:
     inside = sum(spectrum.weight(at(i)) for i in kept)
     outside = sum(spectrum.weight(at(i)) for i in range(-reach, reach + 1)
                   if not kept[0] <= i <= kept[-1])
+    if inside + outside <= 0.0:  # every weight underflowed
+        raise ValueError("vortex spectrum has zero weight on the band")
     return outside / (inside + outside)
 
 

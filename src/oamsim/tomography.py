@@ -13,6 +13,7 @@ Reconstruction is linear: rho = (s0*I + s1*Z + s2*X + s3*Y) / 2 in the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,13 +89,14 @@ def reconstruct(sv: StokesVector) -> QubitDensity:
 
     A Stokes vector whose reconstruction has an eigenvalue below the clip
     threshold is flagged and projected onto the nearest physical state
-    (negative eigenvalues zeroed, trace rescaled).
+    (negative eigenvalues zeroed, trace rescaled).  The smaller eigenvalue
+    is (s0 - |(s1, s2, s3)|) / 2 in closed form; only a clip diagonalizes.
     """
     rho = 0.5 * (sv.s0 * np.eye(2, dtype=complex)
                  + sv.s1 * _SZ + sv.s2 * _SX + sv.s3 * _SY)
-    w, vecs = np.linalg.eigh(rho)
-    if w.min() >= CLIP_EIGENVALUE:
+    if (sv.s0 - math.hypot(sv.s1, sv.s2, sv.s3)) / 2.0 >= CLIP_EIGENVALUE:
         return QubitDensity(rho, clipped=False)
+    w, vecs = np.linalg.eigh(rho)
     w = np.clip(w, 0.0, None)
     total = w.sum()
     if total > 0:

@@ -225,11 +225,12 @@ class TestSingleElements:
         ("phase", {"phi": math.inf}, "angle phi out of range"),
         ("hwp", {"theta": math.nan}, "angle theta out of range"),
         ("spp", {"q": 0.5}, "order must be an integer"),
+        ("spp", {"q": math.inf}, "order must be an integer"),
     ]
 
     @pytest.mark.parametrize("kind,params,message", BAD_PARAMS, ids=[
         "t_above_one", "t_missing", "extra_beta", "pbs_with_t",
-        "alpha_nan", "phi_inf", "theta_nan", "q_half"])
+        "alpha_nan", "phi_inf", "theta_nan", "q_half", "q_inf"])
     def test_bad_parameters_rejected_when_built(self, kind, params, message):
         ins, outs = (("a", "b"), ("c", "d")) if kind in ("bs", "pbs") else (("a",), ("a",))
         with pytest.raises(ValueError, match=message):
@@ -238,7 +239,8 @@ class TestSingleElements:
     @pytest.mark.parametrize("factory,name,good,bad", [
         (lambda path, t: beam_splitter(path, "b", "c", "d", t=t), "t",
          [0, 1, SQ2, "0.5", np.float32(0.25)], [1.2, -0.1, math.nan, "x"]),
-        (spiral_phase_plate, "q", [1, 1.0, True, "-3", np.int64(5), 10 ** 30], [1.5, "1.5"]),
+        (spiral_phase_plate, "q", [1, 1.0, True, "-3", np.int64(5), 10 ** 30],
+         [1.5, "1.5", math.inf, -math.inf]),
         (half_wave_plate, "theta", [8e307, -8e307, "0.25", 1], [9e307, -9e307, "nan"]),
         (dove_prism, "alpha", [1e308, np.float32(2.0), 3], [math.inf, "abc"]),
         (phase_delay, "phi", [-1e308, 0], [-math.inf, math.nan]),
@@ -299,6 +301,25 @@ class TestSorter:
         assert coincidence_detect(out, "even_port", "even_port") == pytest.approx(0.0, abs=1e-12)
 
 
+def fresh_projection_elements(theta, variant):
+    """build_projection's elements, each from a fresh factory call."""
+    theta = theta % math.pi
+    front = [beam_splitter("in", "a_vac", "a_arm_t", "a_arm_r"),
+             dove_prism("a_arm_r", math.pi),
+             beam_splitter("a_arm_t", "a_arm_r", "odd_arm", "even_arm"),
+             spiral_phase_plate("even_arm", 1)]
+    if variant == "polarization":
+        return front + [half_wave_plate("even_arm", math.pi / 4.0),
+                        polarizing_bs("odd_arm", "even_arm", "merged", "discard"),
+                        half_wave_plate("merged", theta / 2.0),
+                        polarizing_bs("merged", "aux", "p_theta_perp", "p_theta")]
+    if math.cos(theta) >= 0.0:
+        return front + [beam_splitter("odd_arm", "even_arm", "p_theta_perp", "p_theta",
+                                      t=math.cos(theta))]
+    return front + [beam_splitter("odd_arm", "even_arm", "p_theta", "p_theta_perp",
+                                  t=math.cos(theta - math.pi / 2.0))]
+
+
 class TestCircuits:
     def test_identity_circuit_preserves_state(self):
         rng = np.random.default_rng(7)
@@ -329,6 +350,18 @@ class TestCircuits:
     def test_builtin_circuits_unitary(self, builder):
         u, basis = circuit_unitary(builder(), 3)
         assert np.abs(u.conj().T @ u - np.eye(basis.size)).max() < 1e-10
+
+    @pytest.mark.parametrize("variant", ["tunable_bs", "polarization"])
+    def test_projections_share_every_element_but_the_theta_one(self, variant):
+        circuits = [build_projection(theta, variant) for theta in (0.6, 2.2)]
+        theta_at = 4 if variant == "tunable_bs" else 6
+        for circuit, theta in zip(circuits, (0.6, 2.2)):
+            assert [e._ident for e in circuit.elements] == \
+                [e._ident for e in fresh_projection_elements(theta, variant)]
+        for i, (one, other) in enumerate(zip(*(c.elements for c in circuits))):
+            assert (one is other) is (i != theta_at)
+        for setup in (build_s2_setup(), build_s3_setup()):
+            assert all(a is b for a, b in zip(setup.elements[:4], circuits[0].elements))
 
     def test_sorter_matches_dense_oracle_on_single_mode(self):
         circuit = build_sorter()
@@ -457,6 +490,13 @@ class TestReadout:
         probs = joint_readout(c1, c2, pair, wrap_guard=None)
         assert probs == {(a, b): coincidence_detect(out, a, b) for a, b in probs}
         assert sum(probs.values()) <= 1.0 + 1e-12
+        # the built-in setups too, with a detector and amplitude on every path
+        for name in sorted(BUILTIN_SETUPS):
+            circuit = with_all_detectors(BUILTIN_SETUPS[name]())
+            single = random_full_state(rng, 2, paths=circuit.paths())
+            out = apply_circuit(circuit, single, wrap_guard=None)
+            assert readout(circuit, single, wrap_guard=None) == {
+                p: detect(out, p) for p in circuit.detector_paths}
 
     def test_dark_detector_reads_zero(self):
         # "c" is fed only from the empty path "b".

@@ -112,6 +112,13 @@ class TestDroppedWeight:
         spec = SourceSpec(1, SpectrumModel.gaussian(3.0), truncation=6)
         assert dropped_weight(spec) == pytest.approx(expected, rel=1e-9)
 
+    def test_vortex_pump_with_no_weight_on_its_grid_rejected(self):
+        # sigma = 0.01 underflows every pair weight, at 2k + 1/2 and beyond
+        spec = SourceSpec(1, SpectrumModel.gaussian(0.01), truncation=6)
+        for run in (spdc, dropped_weight):
+            with pytest.raises(ValueError, match="vortex spectrum has zero weight on the band"):
+                run(spec)
+
     @pytest.mark.parametrize("pump", [0, 1])
     def test_uniform_and_explicit_drop_nothing(self, pump):
         for spectrum in (SpectrumModel.uniform(), canonical_pair_spectrum()):

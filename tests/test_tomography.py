@@ -5,6 +5,7 @@ import pytest
 
 from oamsim.hilbert import NormalizationError, PhotonState, mode
 from oamsim.tomography import (
+    CLIP_EIGENVALUE,
     StokesVector,
     fidelity,
     intensities,
@@ -120,6 +121,34 @@ class TestReconstruction:
         s = 1.0 + 5e-7
         rho = reconstruct(StokesVector(1, s, 0, 0))
         assert not rho.clipped
+
+    def test_closed_form_clip_decision_matches_eigh(self):
+        """The clip decision equals the eigh one, and every matrix equals the
+        one built by diagonalizing first, bit for bit, on physical and
+        unphysical vectors alike."""
+        rng = np.random.default_rng(77)
+        sz = np.array([[1, 0], [0, -1]], dtype=complex)
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
+        clipped = 0
+        for _ in range(1000):
+            s0 = float(rng.uniform(0.0, 2.0))
+            direction = rng.normal(size=3)
+            s1, s2, s3 = (s0 * rng.uniform(0.5, 1.5) * direction
+                          / np.linalg.norm(direction)).tolist()
+            rho = 0.5 * (s0 * np.eye(2, dtype=complex) + s1 * sz + s2 * sx + s3 * sy)
+            w, vecs = np.linalg.eigh(rho)
+            keep = w.min() >= CLIP_EIGENVALUE
+            if not keep:
+                w = np.clip(w, 0.0, None)
+                if w.sum() > 0:
+                    w = w / w.sum() * np.real(np.trace(rho))
+                rho = vecs @ np.diag(w.astype(complex)) @ vecs.conj().T
+            got = reconstruct(StokesVector(s0, s1, s2, s3))
+            assert got.clipped is not keep
+            assert got.matrix.tobytes() == rho.tobytes()
+            clipped += not keep
+        assert 300 < clipped < 700
 
 
 class TestPipeline:

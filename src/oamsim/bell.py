@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import build_projection, joint_readout, readout
-from .hilbert import DENSE_BYTES_LIMIT, V, PhotonState, TwoPhotonState
+from .hilbert import DENSE_BYTES_LIMIT, V, PhotonState, TwoPhotonState, _total
 
 __all__ = [
     "TSIRELSON",
@@ -167,7 +167,7 @@ def _chsh_b_sigma(e, n):
     b = abs(e[0] - e[1] + e[2] + e[3])
     if n is None:
         return b, None
-    return b, math.sqrt(sum((1.0 - ei * ei) / ni for ei, ni in zip(e, n)))
+    return b, math.sqrt(_total((1.0 - ei * ei) / ni for ei, ni in zip(e, n)))
 
 
 def _port_fraction(part: float, port_total: float, port: str) -> float:
@@ -255,13 +255,8 @@ def chsh(s: TwoPhotonState, theta: float, theta2: float, chi: float, chi2: float
     b, sigma = _chsh_b_sigma(e, [shots] * 4 if shots > 0 else None)
     if sigma is None and b > TSIRELSON + 1e-9:
         raise TsirelsonError(f"analytic CHSH value {b} exceeds the quantum bound")
-    e_values = {
-        "E(theta,chi)": e[0],
-        "E(theta,chi2)": e[1],
-        "E(theta2,chi)": e[2],
-        "E(theta2,chi2)": e[3],
-    }
-    return CHSHResult((theta, theta2, chi, chi2), e_values, b, sigma, tuple(tables))
+    labels = ("E(theta,chi)", "E(theta,chi2)", "E(theta2,chi)", "E(theta2,chi2)")
+    return CHSHResult((theta, theta2, chi, chi2), dict(zip(labels, e)), b, sigma, tuple(tables))
 
 
 @dataclass(frozen=True)

@@ -295,9 +295,7 @@ def _cmd_bell(args) -> dict:
         if table.counts is not None:
             entry["counts"] = list(table.counts)
         c_block[label] = entry
-    e_block = {label: result.e_values[key]
-               for label, key in zip(labels, ("E(theta,chi)", "E(theta,chi2)",
-                                              "E(theta2,chi)", "E(theta2,chi2)"))}
+    e_block = dict(zip(labels, result.e_values.values()))
     cfg = _base_config(args, spectrum)
     cfg.update({"theta_deg": args.theta, "theta2_deg": args.theta2,
                 "chi_deg": args.chi, "chi2_deg": args.chi2,

@@ -70,6 +70,7 @@ from .hilbert import (
     TwoPhotonState,
     _clean_amplitudes,
     _shared_basis,
+    _whole,
 )
 
 __all__ = [
@@ -186,13 +187,8 @@ def _check_ports(kind: str, in_paths, out_paths) -> None:
 def _param(name: str, value):
     """A parameter as stored: q an int, t a float in [0, 1], an angle a finite
     float, and theta one whose double is finite (hwp reads cos(2 theta))."""
-    if name == "q":  # int() reads only whole numbers from text
-        try:
-            if int(value) == value or isinstance(value, (str, bytes)):
-                return int(value)
-        except OverflowError:  # an infinite order
-            pass
-        raise ValueError(f"spiral phase plate order must be an integer, got {value!r}")
+    if name == "q":
+        return _whole(value, "spiral phase plate order")
     value = float(value)
     if name == "t" and not 0.0 <= value <= 1.0:
         raise ValueError(f"transmission amplitude must lie in [0, 1], got {value}")
@@ -431,6 +427,25 @@ def apply_circuit(circuit: Circuit, state, slot="both", wrap_guard=WRAP_GUARD):
     return _evolve(circuit.elements, state, slot, wrap_guard)
 
 
+def _path_probs(state: PhotonState, paths) -> dict[str, float]:
+    """Click probability per path in `paths`, in one left-to-right pass."""
+    probs = dict.fromkeys(paths, 0.0)
+    for key, amp in state.amplitudes.items():
+        if key.path in probs:
+            probs[key.path] += abs(amp) ** 2
+    return probs
+
+
+def _pair_probs(state: TwoPhotonState, paths1, paths2) -> dict[tuple[str, str], float]:
+    """Coincidence probability per (path1, path2), in one left-to-right pass."""
+    probs = {(a, b): 0.0 for a in paths1 for b in paths2}
+    for (k1, k2), amp in state.amplitudes.items():
+        key = (k1.path, k2.path)
+        if key in probs:
+            probs[key] += abs(amp) ** 2
+    return probs
+
+
 def detect(state: PhotonState, path: str) -> float:
     """Probability of a click at `path`, summed over OAM and polarization.
 
@@ -439,46 +454,33 @@ def detect(state: PhotonState, path: str) -> float:
     """
     if not isinstance(path, str):
         raise TypeError(f"path label must be a string, got {path!r}")
-    return float(sum(abs(a) ** 2 for k, a in state.amplitudes.items() if k.path == path))
+    return _path_probs(state, (path,))[path]
 
 
 def coincidence_detect(state: TwoPhotonState, path1: str, path2: str) -> float:
-    """Joint probability of photon 1 at path1 and photon 2 at path2."""
-    return float(sum(abs(amp) ** 2 for key, amp in state.amplitudes.items()
-                     if key[0].path == path1 and key[1].path == path2))
+    """Joint probability of photon 1 at path1 and photon 2 at path2; as in
+    detect, only non-string path labels are rejected."""
+    if not (isinstance(path1, str) and isinstance(path2, str)):
+        raise TypeError(f"path labels must be strings, got {path1!r} and {path2!r}")
+    return _pair_probs(state, (path1,), (path2,))[path1, path2]
 
 
 def readout(circuit: Circuit, state: PhotonState,
             wrap_guard=WRAP_GUARD) -> dict[str, float]:
-    """Send one photon through `circuit`; click probability per detector path.
-
-    One pass over the output sums each path in the order detect would, so
-    every value equals detect(out, path).
-    """
-    out = apply_circuit(circuit, state, wrap_guard=wrap_guard)
-    probs = dict.fromkeys(circuit.detector_paths, 0.0)
-    for key, amp in out.amplitudes.items():
-        if key.path in probs:
-            probs[key.path] += abs(amp) ** 2
-    return probs
+    """Send one photon through `circuit`; click probability per detector
+    path, each equal to detect(out, path)."""
+    return _path_probs(apply_circuit(circuit, state, wrap_guard=wrap_guard),
+                       circuit.detector_paths)
 
 
 def joint_readout(circuit1: Circuit, circuit2: Circuit, pair: TwoPhotonState,
                   wrap_guard=WRAP_GUARD) -> dict[tuple[str, str], float]:
     """Photon 1 through `circuit1`, photon 2 through `circuit2`; coincidence
-    probability per pair of detector paths.
-
-    One pass over the output sums each entry in the order coincidence_detect
-    would, so every value equals coincidence_detect(out, path1, path2).
-    """
+    probability per pair of detector paths, each equal to
+    coincidence_detect(out, path1, path2)."""
     out = apply_circuit(circuit1, pair, slot=1, wrap_guard=wrap_guard)
     out = apply_circuit(circuit2, out, slot=2, wrap_guard=wrap_guard)
-    probs = {(a, b): 0.0 for a in circuit1.detector_paths for b in circuit2.detector_paths}
-    for (k1, k2), amp in out.amplitudes.items():
-        key = (k1.path, k2.path)
-        if key in probs:
-            probs[key] += abs(amp) ** 2
-    return probs
+    return _pair_probs(out, circuit1.detector_paths, circuit2.detector_paths)
 
 
 # ---------------------------------------------------------------------------

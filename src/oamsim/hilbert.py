@@ -127,11 +127,32 @@ def parse_coeff_rows(rows) -> dict[int, complex]:
     return coeffs
 
 
+def _whole(value, what: str) -> int:
+    """`value` as an int if it is whole (an int, a numpy integer, an integral
+    float or text int() reads); anything else raises ValueError naming `what`."""
+    try:
+        if int(value) == value or isinstance(value, (str, bytes)):
+            return int(value)
+    except OverflowError:  # an infinity
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _total(values) -> float:
+    """Left-to-right float sum.  Builtin sum compensates float sums from
+    Python 3.12 on, so a printed float summed with it would change in its
+    last bits with the Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def mode(m: int, pol: str = H, path: str = "in") -> ModeKey:
-    """Convenience constructor; validates the polarization label."""
+    """Convenience constructor; validates the polarization label and m."""
     if pol not in POLARIZATIONS:
         raise ValueError(f"unknown polarization {pol!r}")
-    return ModeKey(str(path), pol, int(m))
+    return ModeKey(str(path), pol, _whole(m, "OAM index"))
 
 
 def _clean_amplitudes(items) -> dict:
@@ -205,7 +226,7 @@ class _SparseState:
         return self.amplitudes.get(key, 0.0 + 0.0j)
 
     def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for _, a in self.items()))
+        return _total(abs(a) ** 2 for _, a in self.items())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
@@ -300,8 +321,7 @@ def parity_marginals(state: TwoPhotonState) -> dict[tuple[str, str], float]:
     than NORM_CHECK_TOL.  The four entries always sum to the state norm.
     """
     state.require_normalized()
-    table = {(EVEN, EVEN): 0.0, (EVEN, ODD): 0.0,
-             (ODD, EVEN): 0.0, (ODD, ODD): 0.0}
+    table = dict.fromkeys(itertools.product((EVEN, ODD), repeat=2), 0.0)
     for (k1, k2), amp in state.amplitudes.items():
         table[(parity(k1.m), parity(k2.m))] += abs(amp) ** 2
     return table
@@ -346,7 +366,7 @@ class SpectrumModel:
 
     @staticmethod
     def explicit(coeffs: Mapping[int, complex]) -> "SpectrumModel":
-        items = tuple(sorted((int(m), complex(c)) for m, c in coeffs.items()))
+        items = tuple(sorted((_whole(m, "OAM index"), complex(c)) for m, c in coeffs.items()))
         return SpectrumModel("explicit", coeffs=items)
 
     def weight(self, x: float) -> float:
@@ -372,7 +392,7 @@ class SpectrumModel:
         else:
             out = {m: complex(math.sqrt(self.weight(float(m))))
                    for m in range(-band, band + 1)}
-        total = math.sqrt(sum(abs(c) ** 2 for c in out.values()))
+        total = math.sqrt(_total(abs(c) ** 2 for c in out.values()))
         if total < 1e-300:
             raise ValueError("spectrum has zero total weight on the band")
         return {m: c / total for m, c in sorted(out.items())}
@@ -551,10 +571,7 @@ def state_to_records(state) -> list[dict]:
     records = []
     if isinstance(state, PhotonState):
         for key, amp in state.items():
-            rec = _key_record(key)
-            rec["re"] = amp.real
-            rec["im"] = amp.imag
-            records.append(rec)
+            records.append({**_key_record(key), "re": amp.real, "im": amp.imag})
     elif isinstance(state, TwoPhotonState):
         for (k1, k2), amp in state.items():
             records.append({"photon1": _key_record(k1), "photon2": _key_record(k2),

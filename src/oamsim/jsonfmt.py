@@ -33,14 +33,12 @@ def dumps(obj: Any) -> str:
 
 
 def _emit(obj: Any, parts: list[str]) -> None:
-    if obj is None or isinstance(obj, bool):
+    if obj is None or isinstance(obj, (bool, str)):
         parts.append(json.dumps(obj))
     elif isinstance(obj, int):
         parts.append(str(obj))
     elif isinstance(obj, float):
         parts.append(format_float(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
     elif isinstance(obj, dict):
         parts.append("{")
         for i, key in enumerate(sorted(obj)):

@@ -26,6 +26,7 @@ from .hilbert import (
     SpectrumModel,
     TruncationError,
     TwoPhotonState,
+    _total,
     mode,
     parity,
 )
@@ -53,6 +54,7 @@ BELL_PHI_PLUS = "bell_phi_plus"
 # qubit embedding: even -> m=0, odd -> m=1.
 EVEN_M = 0
 ODD_M = 1
+_SQ2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -80,14 +82,17 @@ def source_band(truncation: int) -> int:
 
 def canonical_pair_spectrum() -> SpectrumModel:
     """Explicit spectrum selecting only the canonical (m=0, m=1) pair."""
-    r = 1.0 / math.sqrt(2.0)
-    return SpectrumModel.explicit({EVEN_M: r, ODD_M: r})
+    return SpectrumModel.explicit({EVEN_M: _SQ2, ODD_M: _SQ2})
 
 
-def _vortex_pair_indices(band: int) -> list[int]:
-    # Pair index k groups OAM modes (2k, 2k+1) on photon 1, which by OAM
-    # conservation puts photon 2 on (1-2k, -2k); all four must fit the band.
-    return [k for k in range(-band, band + 1) if 2 * abs(k) + 1 <= band]
+def _pair_weights(spectrum: SpectrumModel, band: int):
+    """The vortex source's grid: pair indices k, the weight at 2k + 1/2 of
+    each, and their total.  Pair k groups OAM modes (2k, 2k+1) on photon 1,
+    which by OAM conservation puts photon 2 on (1-2k, -2k); all four must
+    fit the band."""
+    ks = [k for k in range(-band, band + 1) if 2 * abs(k) + 1 <= band]
+    weights = [spectrum.weight(2 * k + 0.5) for k in ks]
+    return ks, weights, _total(weights)
 
 
 def dropped_weight(spec: SourceSpec) -> float:
@@ -102,13 +107,13 @@ def dropped_weight(spec: SourceSpec) -> float:
     # weight is below exp(-144) of the tail's.
     reach = band + math.ceil(12.0 * spectrum.sigma) + 8
     if spec.pump_order == 1:  # x = 2k + 1/2 covers the reach at half the k
-        kept, at = _vortex_pair_indices(band), lambda k: 2 * k + 0.5
-        reach = (reach + 1) // 2
+        kept, _, inside = _pair_weights(spectrum, band)
+        at, reach = lambda k: 2 * k + 0.5, (reach + 1) // 2
     else:
         kept, at = range(-band, band + 1), float
-    inside = sum(spectrum.weight(at(i)) for i in kept)
-    outside = sum(spectrum.weight(at(i)) for i in range(-reach, reach + 1)
-                  if not kept[0] <= i <= kept[-1])
+        inside = _total(spectrum.weight(float(m)) for m in kept)
+    outside = _total(spectrum.weight(at(i)) for i in range(-reach, reach + 1)
+                     if not kept[0] <= i <= kept[-1])
     if inside + outside <= 0.0:  # every weight underflowed
         raise ValueError("vortex spectrum has zero weight on the band")
     return outside / (inside + outside)
@@ -127,31 +132,21 @@ def _vortex_oam_terms(spectrum: SpectrumModel, band: int):
     # Smooth spectra are symmetrized per pair: both members of (2k, 2k+1)
     # share one real weight, so even and odd carry exactly half the total
     # each and every analyzer pair interferes with equal magnitudes.
-    ks = _vortex_pair_indices(band)
-    weights = {k: spectrum.weight(2 * k + 0.5) for k in ks}
-    total = sum(weights.values())
+    ks, weights, total = _pair_weights(spectrum, band)
     if total <= 0.0:
         raise ValueError("vortex spectrum has zero weight on the band")
     terms = []
-    for k in ks:
-        a = math.sqrt(weights[k] / (2.0 * total))
+    for k, weight in zip(ks, weights):
+        a = math.sqrt(weight / (2.0 * total))
         terms.append((2 * k, 1 - 2 * k, a))        # photon 1 even
         terms.append((2 * k + 1, -2 * k, a))       # photon 1 odd
-    return terms
-
-
-def _gaussian_oam_terms(spectrum: SpectrumModel, band: int):
-    terms = []
-    for m, c in spectrum.realize(band).items():
-        terms.append((m, -m, c))
     return terms
 
 
 def _polarization_factor(mode_name: str):
     if mode_name == PRODUCT_HH:
         return [((H, H), 1.0)]
-    r = 1.0 / math.sqrt(2.0)
-    return [((H, H), r), ((V, V), r)]
+    return [((H, H), _SQ2), ((V, V), _SQ2)]
 
 
 def spdc(spec: SourceSpec) -> TwoPhotonState:
@@ -160,7 +155,7 @@ def spdc(spec: SourceSpec) -> TwoPhotonState:
     if spec.pump_order == 1:
         oam_terms = _vortex_oam_terms(spec.spectrum, band)
     else:
-        oam_terms = _gaussian_oam_terms(spec.spectrum, band)
+        oam_terms = [(m, -m, c) for m, c in spec.spectrum.realize(band).items()]
     pol_terms = _polarization_factor(spec.polarization_mode)
     amps = {}
     for m1, m2, c in oam_terms:
@@ -184,13 +179,8 @@ def vortex_symmetric(spectrum: SpectrumModel, truncation: int = 8) -> bool:
     """
     if spectrum.kind != "explicit":
         return True
-    band = source_band(truncation)
-    coeffs = spectrum.realize(band)
-    seen = set()
-    for m in coeffs:
-        even_m = m if m % 2 == 0 else m - 1
-        seen.add(even_m)
-    for even_m in seen:
+    coeffs = spectrum.realize(source_band(truncation))
+    for even_m in {m - m % 2 for m in coeffs}:
         a = coeffs.get(even_m, 0.0 + 0.0j)
         b = coeffs.get(even_m + 1, 0.0 + 0.0j)
         if abs(a.imag) > 1e-12 or abs(b.imag) > 1e-12:
@@ -216,8 +206,6 @@ def hybrid_two_photon(s: TwoPhotonState) -> TwoPhotonState:
 
     return oc_p_gate(s, slot=1)
 
-
-_SQ2 = 1.0 / math.sqrt(2.0)
 
 # The four maximally nonseparable (parity x polarization) states of one
 # photon, at the canonical representatives even->m=0, odd->m=1.

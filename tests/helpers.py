@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import math
 
 import numpy as np
@@ -98,3 +99,26 @@ def random_circuit(rng: np.random.Generator, n_elements: int) -> Circuit:
 
 def pool_paths() -> tuple[str, ...]:
     return _PATH_POOL
+
+
+_builtin_sum = builtins.sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """builtin sum as CPython 3.12 and later computes it: a float sum is
+    compensated (Neumaier).  Only a start that is an int or a float over
+    items that are all exact floats is compensated, and an int start is
+    added to the first item plainly, as CPython does; anything else goes to
+    the builtin sum of the running interpreter."""
+    items = list(iterable)
+    if not (type(start) in (int, float) and items
+            and all(type(x) is float for x in items)):
+        return _builtin_sum(items, start)
+    if type(start) is int:
+        start, items = start + items[0], items[1:]
+    total, c = start, 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total

@@ -1,3 +1,4 @@
+import builtins
 import cmath
 import copy
 import math
@@ -55,6 +56,7 @@ from oamsim.hilbert import (
 from oamsim.soba import build_soba
 from helpers import (
     EDGE_VALUES,
+    compensated_sum,
     pool_paths,
     random_circuit,
     random_full_state,
@@ -517,6 +519,40 @@ class TestReadout:
         pair = TwoPhotonState({(mode(0), mode(2)): 1.0}, 2)
         with pytest.raises(WrapGuardError):
             joint_readout(build_sorter(), build_s2_setup(), pair)
+
+
+class TestDetectors:
+    """detect and readout share one per-path loop, coincidence_detect and
+    joint_readout one per-path-pair loop."""
+
+    def test_readout_equals_detect_under_a_compensated_sum(self, monkeypatch):
+        # Python 3.12 and later compensate builtin sum over floats.
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        rng = np.random.default_rng(330)
+        for name in sorted(BUILTIN_SETUPS):
+            circuit = BUILTIN_SETUPS[name]()
+            single = random_full_state(rng, 4)
+            out = apply_circuit(circuit, single, wrap_guard=None)
+            assert readout(circuit, single, wrap_guard=None) == {
+                p: detect(out, p) for p in circuit.detector_paths}
+            pair = random_two_photon(rng, 4, n_terms=10)
+            probs = joint_readout(circuit, circuit, pair, wrap_guard=None)
+            out = apply_circuit(circuit, pair, slot=1, wrap_guard=None)
+            out = apply_circuit(circuit, out, slot=2, wrap_guard=None)
+            assert probs == {(a, b): coincidence_detect(out, a, b) for a, b in probs}
+
+    @pytest.mark.parametrize("label", [5, ["in"], None, ("in",), b"in"])
+    def test_a_non_string_label_is_rejected_by_both_detectors(self, label):
+        state = PhotonState({mode(0): 1.0}, 2)
+        pair = TwoPhotonState({(mode(0), mode(1)): 1.0}, 2)
+        with pytest.raises(TypeError, match="string"):
+            detect(state, label)
+        with pytest.raises(TypeError, match="string"):
+            coincidence_detect(pair, label, "in")
+        with pytest.raises(TypeError, match="string"):
+            coincidence_detect(pair, "in", label)
+        assert coincidence_detect(pair, "in", "in") == 1.0
+        assert coincidence_detect(pair, "in", "dark") == 0.0
 
 
 def reference_apply_circuit(circuit, state, slot="both", wrap_guard=WRAP_GUARD):

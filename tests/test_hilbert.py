@@ -108,6 +108,35 @@ class TestStates:
         assert ks == sorted(ks)
 
 
+class TestWholeOamIndex:
+    """mode, PhotonState.from_oam and SpectrumModel.explicit read m as a
+    spiral phase plate reads its order q: a whole number, never truncated."""
+
+    @pytest.mark.parametrize("m", [2.9, 0.5, -0.7, 1.5, np.float64(-2.5), math.inf, -math.inf])
+    def test_a_fractional_index_is_rejected(self, m):
+        with pytest.raises(ValueError, match="OAM index must be an integer"):
+            mode(m)
+        with pytest.raises(ValueError, match="OAM index must be an integer"):
+            PhotonState.from_oam({m: 1.0}, 4)
+        with pytest.raises(ValueError, match="OAM index must be an integer"):
+            SpectrumModel.explicit({0: 1.0, m: 1.0})
+
+    @pytest.mark.parametrize("m,want", [(2, 2), (-3, -3), (np.int64(-3), -3), (2.0, 2),
+                                        (np.float64(-1.0), -1), ("3", 3), ("-1", -1),
+                                        (10 ** 30, 10 ** 30)])
+    def test_a_whole_index_builds_the_same_key(self, m, want):
+        key = mode(m)
+        assert key == ModeKey("in", H, want) and type(key.m) is int
+        assert list(PhotonState.from_oam({m: 1.0}, 10 ** 31).amplitudes) == [key]
+        coeffs = SpectrumModel.explicit({m: 0.5}).coeffs
+        assert coeffs == ((want, 0.5 + 0j),) and type(coeffs[0][0]) is int
+
+    def test_text_that_int_does_not_read_is_still_rejected(self):
+        for m in ("1.5", "2.0", "x"):
+            with pytest.raises(ValueError):
+                mode(m)
+
+
 class TestStateCore:
     def test_both_kinds_share_one_body(self):
         pair = TwoPhotonState({(mode(0), mode(1, V, "b")): 3.0}, 2)

@@ -272,6 +272,11 @@ class EkertResult:
     chsh_rounds: int
 
 
+def _bit_string(bits: np.ndarray) -> str:
+    """0/1 bits as a string of '0' and '1' characters, in one conversion."""
+    return (bits.astype(np.uint8) + 48).tobytes().decode("ascii")
+
+
 def ekert_run(s: TwoPhotonState, rounds: int, seed: int,
               variant: str = "tunable_bs") -> EkertResult:
     """Entanglement-based key exchange with a CHSH security estimate.
@@ -309,8 +314,7 @@ def ekert_run(s: TwoPhotonState, rounds: int, seed: int,
         matched |= (a_idx == ai) & (b_idx == bi)
     alice_bits = (outcome[matched] // 2).astype(int)
     bob_bits = (outcome[matched] % 2).astype(int)  # port flip folded in
-    key_a = "".join(map(str, alice_bits))
-    key_b = "".join(map(str, bob_bits))
+    key_a, key_b = _bit_string(alice_bits), _bit_string(bob_bits)
     qber = float(np.mean(alice_bits != bob_bits)) if matched.any() else None
 
     chsh_counts = [combo_counts[c] for c in _CHSH_COMBOS if c in combo_counts]

@@ -281,6 +281,9 @@ def _cmd_tomography(args) -> dict:
 
 
 def _cmd_bell(args) -> dict:
+    for name in ("theta", "theta2", "chi", "chi2"):
+        if not math.isfinite(vars(args)[name]):
+            raise ValidationError(f"--{name} must be finite, got {vars(args)[name]}")
     spectrum = _parse_spectrum(args.spectrum)
     state = spdc(SourceSpec(1, spectrum, PRODUCT_HH, args.truncation))
     angles = tuple(math.radians(x) for x in
@@ -474,6 +477,8 @@ def _fill_defaults(args) -> None:
     shots = options.get("shots", 0)
     if shots < 0:
         raise ValidationError("shots must be >= 0")
+    if options.get("seed") is not None and args.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {args.seed}")
     if shots > 0 and args.seed is None:
         raise ValidationError("shots > 0 requires --seed")
 

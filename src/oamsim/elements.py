@@ -288,11 +288,12 @@ def _key_action(elem: Element, key: ModeKey, truncation: int):
 
 # Action tables, one per (element, K), of the most recently used elements:
 # mode -> _key_action(elem, mode, K), filled the first time each mode is
-# seen.  The memoized setups hold 19 distinct elements; one qubit-batch
-# operation adds 2 recurring and 4 one-off projection elements.  Measured on
-# 2 cores (Python 3.11): 3000 qubit-batch operations took 11.2-11.8 s with 16
-# tables against 9.1-10.1 s with 32; 64 tables raised the oracle workload's
-# peak RSS by 2.2 MB and 512 tables qubit-batch's by 3.3 MB.
+# seen.  The memoized setups, with the polarization projection's three fixed
+# elements, hold 19 distinct elements; one qubit-batch operation adds 2
+# recurring and 4 one-off projection elements.  Measured on 2 cores (Python
+# 3.11): 3000 qubit-batch operations took 11.2-11.8 s with 16 tables against
+# 9.1-10.1 s with 32; 64 tables raised the oracle workload's peak RSS by
+# 2.2 MB and 512 tables qubit-batch's by 3.3 MB.
 ACTION_CACHE_SIZE = 32
 
 
@@ -308,7 +309,7 @@ def _action_table(elem: Element, truncation: int) -> dict:
 def _apply_pass(elem: Element, amps: dict, truncation: int, idx, wrap_guard,
                 clean: bool) -> dict:
     """One pass of `elem` over amplitudes; `idx` is the photon of a joint key
-    (0 or 1), or None for single-photon keys, with one loop per case.
+    (0 or 1), or None for single-photon keys.
 
     With `clean` (the element's last pass) the output is cleaned as the
     state constructor cleans it: zero and below-PRUNE_EPS amplitudes
@@ -322,41 +323,19 @@ def _apply_pass(elem: Element, amps: dict, truncation: int, idx, wrap_guard,
     once = clean and elem.kind not in ("bs", "hwp")
     out: dict = {}
     wrapped_weight = 0.0
-    if idx is None:
-        for mode_key, amp in amps.items():
-            action = table.get(mode_key) or _fill(table, elem, mode_key, truncation)
-            for new_key, factor, wrapped in action:
-                contrib = amp * factor
-                if wrapped:
-                    wrapped_weight += abs(contrib) ** 2
-                if not once:
-                    out[new_key] = out.get(new_key, 0.0 + 0.0j) + contrib
-                elif not abs(contrib) < PRUNE_EPS:  # a NaN is kept, not hidden
-                    out[new_key] = 0j + contrib
-    elif idx == 0:
-        for (mode_key, other), amp in amps.items():
-            action = table.get(mode_key) or _fill(table, elem, mode_key, truncation)
-            for new_key, factor, wrapped in action:
-                contrib = amp * factor
-                if wrapped:
-                    wrapped_weight += abs(contrib) ** 2
-                new_key = (new_key, other)
-                if not once:
-                    out[new_key] = out.get(new_key, 0.0 + 0.0j) + contrib
-                elif not abs(contrib) < PRUNE_EPS:
-                    out[new_key] = 0j + contrib
-    else:
-        for (other, mode_key), amp in amps.items():
-            action = table.get(mode_key) or _fill(table, elem, mode_key, truncation)
-            for new_key, factor, wrapped in action:
-                contrib = amp * factor
-                if wrapped:
-                    wrapped_weight += abs(contrib) ** 2
-                new_key = (other, new_key)
-                if not once:
-                    out[new_key] = out.get(new_key, 0.0 + 0.0j) + contrib
-                elif not abs(contrib) < PRUNE_EPS:
-                    out[new_key] = 0j + contrib
+    for key, amp in amps.items():
+        mode_key = key if idx is None else key[idx]
+        action = table.get(mode_key) or _fill(table, elem, mode_key, truncation)
+        for new_key, factor, wrapped in action:
+            contrib = amp * factor
+            if wrapped:
+                wrapped_weight += abs(contrib) ** 2
+            if idx is not None:
+                new_key = (new_key, key[1]) if idx == 0 else (key[0], new_key)
+            if not once:
+                out[new_key] = out.get(new_key, 0.0 + 0.0j) + contrib
+            elif not abs(contrib) < PRUNE_EPS:  # a NaN is kept, not hidden
+                out[new_key] = 0j + contrib
     if wrap_guard is not None and wrapped_weight > wrap_guard:
         raise WrapGuardError(
             f"{elem.kind} moved weight {wrapped_weight:.3e} across the band edge")
@@ -512,24 +491,23 @@ def build_sorter() -> Circuit:
 
 @functools.cache
 def _analyzer_front() -> tuple[Element, ...]:
-    # Sorter followed by an order +1 spiral plate in the even arm, so both
-    # arms interfere on the odd mode of each (2k, 2k+1) pair.
-    return (*_sorter_elements("in", "even_arm", "odd_arm", "a_"),
-            spiral_phase_plate("even_arm", +1))
+    # The sorter's own elements, then an order +1 spiral plate in the even
+    # arm, so both arms interfere on the odd mode of each (2k, 2k+1) pair.
+    return (*build_sorter().elements, spiral_phase_plate("even_port", +1))
 
 
 @functools.cache
 def build_s2_setup() -> Circuit:
     """Diagonal-basis analyzer; s2 = P(d2) - P(d1)."""
-    elems = (*_analyzer_front(), beam_splitter("odd_arm", "even_arm", "d1", "d2"))
+    elems = (*_analyzer_front(), beam_splitter("odd_port", "even_port", "d1", "d2"))
     return Circuit("s2_setup", elems, "in", ("d1", "d2"))
 
 
 @functools.cache
 def build_s3_setup() -> Circuit:
     """Circular-basis analyzer: extra quarter-cycle delay; s3 = P(d2) - P(d1)."""
-    elems = (*_analyzer_front(), phase_delay("even_arm", math.pi / 2.0),
-             beam_splitter("odd_arm", "even_arm", "d1", "d2"))
+    elems = (*_analyzer_front(), phase_delay("even_port", math.pi / 2.0),
+             beam_splitter("odd_port", "even_port", "d1", "d2"))
     return Circuit("s3_setup", elems, "in", ("d1", "d2"))
 
 
@@ -537,8 +515,8 @@ def build_s3_setup() -> Circuit:
 def _polarization_fixed() -> tuple[Element, Element, Element]:
     # The polarization projection's elements that do not depend on theta:
     # the arm-tagging plate, the merging splitter and the final splitter.
-    return (half_wave_plate("even_arm", math.pi / 4.0),
-            polarizing_bs("odd_arm", "even_arm", "merged", "discard"),
+    return (half_wave_plate("even_port", math.pi / 4.0),
+            polarizing_bs("odd_port", "even_port", "merged", "discard"),
             polarizing_bs("merged", "aux", "p_theta_perp", "p_theta"))
 
 
@@ -555,8 +533,9 @@ def build_projection(theta: float, variant: str = "tunable_bs") -> Circuit:
         merged on a polarizing splitter, rotated by a half-wave plate at
         theta/2 and split again (requires H-polarized input).
 
-    Only the theta element is built per call; the others are built once
-    and shared by every projection and by the two analyzers.
+    Both start with the sorter's own elements.  Only the theta element is
+    built per call; the others are built once and shared by every
+    projection and by the two analyzers.
     """
     theta = float(theta) % math.pi
     if variant == "tunable_bs":
@@ -566,7 +545,7 @@ def build_projection(theta: float, variant: str = "tunable_bs") -> Circuit:
             t, out_a, out_b = math.cos(theta), "p_theta_perp", "p_theta"
         else:
             t, out_a, out_b = math.cos(theta - math.pi / 2.0), "p_theta", "p_theta_perp"
-        elems = (*_analyzer_front(), beam_splitter("odd_arm", "even_arm", out_a, out_b, t=t))
+        elems = (*_analyzer_front(), beam_splitter("odd_port", "even_port", out_a, out_b, t=t))
         return Circuit("projection_tunable", elems, "in", ("p_theta", "p_theta_perp"))
     if variant == "polarization":
         tag, merge, split = _polarization_fixed()

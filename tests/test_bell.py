@@ -19,6 +19,7 @@ from oamsim.bell import (
     projector_coincidence,
     sample_counts,
     task_rng,
+    _bit_string,
     _joint_probs,
 )
 from oamsim.hilbert import DENSE_BYTES_LIMIT, PhotonState, SpectrumModel, mode
@@ -217,6 +218,11 @@ class TestEkert:
                 break
         else:
             pytest.fail("no seed produced a mismatched single round")
+
+    @pytest.mark.parametrize("n", [0, 1, 10 ** 5])
+    def test_key_string_equals_the_joined_bits(self, n):
+        bits = (np.random.default_rng(n).integers(0, 4, size=n) // 2).astype(int)
+        assert _bit_string(bits) == "".join(map(str, bits))
 
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError):

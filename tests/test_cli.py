@@ -537,6 +537,29 @@ class TestMalformedInput:
         assert code == 0
         assert report["probabilities"]["odd_port"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("option", ["--theta", "--theta2", "--chi", "--chi2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_bell_angle(self, capsys, monkeypatch, option, value):
+        monkeypatch.setattr(cli, "spdc", lambda spec: pytest.fail("a source was built"))
+        argv = list(BELL_ARGS)
+        argv[argv.index(option):argv.index(option) + 2] = [f"{option}={value}"]
+        error = assert_one_json_error(capsys, argv)
+        assert error["message"] == f"{option} must be finite, got {float(value)}"
+
+    @pytest.mark.parametrize("argv", [("sorter", "--m", "3", "--seed", "-2"),
+                                      (*BELL_ARGS, "--shots", "10", "--seed", "-1"),
+                                      ("ekert", "--rounds", "10", "--seed", "-1")])
+    def test_negative_seed_argv(self, capsys, argv):
+        error = assert_one_json_error(capsys, argv)
+        assert error["message"] == f"seed must be >= 0, got {argv[-1]}"
+
+    def test_negative_seed_in_config(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"seed": -2}))
+        monkeypatch.setenv("OAMSIM_CONFIG", str(cfg))
+        for argv in (("sorter", "--m", "3"), (*BELL_ARGS, "--shots", "10")):
+            assert assert_one_json_error(capsys, argv)["message"] == "seed must be >= 0, got -2"
+
     def test_too_many_ekert_rounds(self, capsys):
         assert_one_json_error(capsys, ("ekert", "--rounds", str(10 ** 12), "--seed", "1"))
 

@@ -55,6 +55,7 @@ from oamsim.hilbert import (
 )
 from oamsim.soba import build_soba
 from helpers import (
+    AT_PRUNE_EPS,
     EDGE_VALUES,
     compensated_sum,
     pool_paths,
@@ -306,19 +307,19 @@ class TestSorter:
 def fresh_projection_elements(theta, variant):
     """build_projection's elements, each from a fresh factory call."""
     theta = theta % math.pi
-    front = [beam_splitter("in", "a_vac", "a_arm_t", "a_arm_r"),
-             dove_prism("a_arm_r", math.pi),
-             beam_splitter("a_arm_t", "a_arm_r", "odd_arm", "even_arm"),
-             spiral_phase_plate("even_arm", 1)]
+    front = [beam_splitter("in", "s_vac", "s_arm_t", "s_arm_r"),
+             dove_prism("s_arm_r", math.pi),
+             beam_splitter("s_arm_t", "s_arm_r", "odd_port", "even_port"),
+             spiral_phase_plate("even_port", 1)]
     if variant == "polarization":
-        return front + [half_wave_plate("even_arm", math.pi / 4.0),
-                        polarizing_bs("odd_arm", "even_arm", "merged", "discard"),
+        return front + [half_wave_plate("even_port", math.pi / 4.0),
+                        polarizing_bs("odd_port", "even_port", "merged", "discard"),
                         half_wave_plate("merged", theta / 2.0),
                         polarizing_bs("merged", "aux", "p_theta_perp", "p_theta")]
     if math.cos(theta) >= 0.0:
-        return front + [beam_splitter("odd_arm", "even_arm", "p_theta_perp", "p_theta",
+        return front + [beam_splitter("odd_port", "even_port", "p_theta_perp", "p_theta",
                                       t=math.cos(theta))]
-    return front + [beam_splitter("odd_arm", "even_arm", "p_theta", "p_theta_perp",
+    return front + [beam_splitter("odd_port", "even_port", "p_theta", "p_theta_perp",
                                   t=math.cos(theta - math.pi / 2.0))]
 
 
@@ -364,6 +365,15 @@ class TestCircuits:
             assert (one is other) is (i != theta_at)
         for setup in (build_s2_setup(), build_s3_setup()):
             assert all(a is b for a, b in zip(setup.elements[:4], circuits[0].elements))
+
+    @pytest.mark.parametrize("builder", [build_s2_setup, build_s3_setup,
+                                         lambda: build_projection(0.6),
+                                         lambda: build_projection(2.2),
+                                         lambda: build_projection(0.6, "polarization")])
+    def test_analyzers_start_with_the_sorters_own_elements(self, builder):
+        sorter = build_sorter().elements
+        assert len(sorter) == 3
+        assert all(a is b for a, b in zip(builder().elements, sorter))
 
     def test_sorter_matches_dense_oracle_on_single_mode(self):
         circuit = build_sorter()
@@ -620,6 +630,31 @@ class TestActionCache:
     def test_builtin_pair(self, name, slot):
         rng = np.random.default_rng(410)
         pair = random_two_photon(rng, 4, n_terms=10)
+        assert_matches_reference(BUILTIN_SETUPS[name](), pair, slot=slot,
+                                 wrap_guard=None)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SETUPS))
+    @pytest.mark.parametrize("slot", [1, 2, "both"])
+    def test_builtin_pair_at_the_prune_boundary(self, name, slot):
+        """The finite EDGE_VALUES planted on both photons: on path "q", which
+        no element reads, against every photon-2 mode on "in", the other way
+        round, and on "in" against "in"; the NaN on "q" against one mode on
+        "in" for each photon.  The pass-through terms land on PRUNE_EPS
+        exactly, and the mixed ones on sums of edge values."""
+        truncation = 2
+        rng = np.random.default_rng(440)
+        amps = dict(random_two_photon(rng, truncation, n_terms=10).amplitudes)
+        in_keys, q_keys = ([mode(m, pol, path) for pol in (H, V)
+                            for m in range(-truncation, truncation + 1)] for path in ("in", "q"))
+        finite = [value for value in EDGE_VALUES if not cmath.isnan(value)]
+        for j, value in enumerate(finite):
+            for key in in_keys:
+                amps[(q_keys[j], key)] = amps[(key, q_keys[j])] = value
+            amps[(in_keys[j], in_keys[-1 - j])] = value
+        nan_key = mode(0, H, "q")
+        amps[(nan_key, in_keys[0])] = amps[(in_keys[1], nan_key)] = complex(math.nan, 0.0)
+        pair = TwoPhotonState(amps, truncation)
+        assert AT_PRUNE_EPS in pair.amplitudes.values()
         assert_matches_reference(BUILTIN_SETUPS[name](), pair, slot=slot,
                                  wrap_guard=None)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import build_projection, joint_readout, readout
-from .hilbert import DENSE_BYTES_LIMIT, V, PhotonState, TwoPhotonState, _total
+from .hilbert import DENSE_BYTES_LIMIT, V, PhotonState, TwoPhotonState, _total, _whole
 
 __all__ = [
     "TSIRELSON",
@@ -63,7 +63,7 @@ EKERT_ROUNDS_LIMIT = DENSE_BYTES_LIMIT // EKERT_BYTES_PER_ROUND
 
 def task_rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic sub-stream for (seed, task indices); thread-count neutral."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
+    return np.random.default_rng(np.random.SeedSequence([_whole(seed, "seed"), *map(int, key)]))
 
 
 # The multinomial takes its draw count as a C long.
@@ -74,9 +74,10 @@ def sample_counts(probs, shots: int, seed: int | None, *key: int) -> np.ndarray:
     """One multinomial draw of `shots` over the cleaned probabilities."""
     if seed is None:
         raise ValueError("sampled mode requires a seed")
+    shots = _whole(shots, "shots")
     if shots > SHOTS_LIMIT:
         raise ValueError(f"shots {shots} exceeds limit {SHOTS_LIMIT}")
-    return task_rng(seed, *key).multinomial(int(shots), _clean_probs(probs))
+    return task_rng(seed, *key).multinomial(shots, _clean_probs(probs))
 
 
 @dataclass(frozen=True)
@@ -288,6 +289,7 @@ def ekert_run(s: TwoPhotonState, rounds: int, seed: int,
     from one deterministic sub-stream per setting pair, so results do not
     depend on any parallel scheduling.
     """
+    rounds, seed = _whole(rounds, "rounds"), _whole(seed, "seed")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if rounds > EKERT_ROUNDS_LIMIT:
@@ -323,8 +325,8 @@ def ekert_run(s: TwoPhotonState, rounds: int, seed: int,
         estimate, sigma = _chsh_b_sigma([_e_value(*c) for c in chsh_counts],
                                         [c.sum() for c in chsh_counts])
     return EkertResult(
-        rounds=int(rounds),
-        seed=int(seed),
+        rounds=rounds,
+        seed=seed,
         key_a=key_a,
         key_b=key_b,
         qber=qber,

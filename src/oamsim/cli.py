@@ -29,10 +29,9 @@ from .hilbert import (
     DENSE_BYTES_LIMIT,
     PhotonState,
     SpectrumModel,
+    _whole,
     add_amplitude,
-    is_integral,
     mode,
-    oam_index,
     parse_coeff_rows,
     state_to_records,
 )
@@ -163,8 +162,7 @@ def _parse_state(text: str, truncation: int) -> PhotonState:
         elif "terms" in data:
             amps = {}
             for term in data["terms"]:
-                key = mode(oam_index(term["m"]), str(term.get("pol", "H")),
-                           str(term.get("path", "in")))
+                key = mode(term["m"], str(term.get("pol", "H")), str(term.get("path", "in")))
                 # Every setup takes its photon on path "in"; weight elsewhere
                 # would pass every detector by.
                 if key.path != "in":
@@ -448,11 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _env_int(env: dict, name: str, default):
-    """Integer config value; fractions, bools and non-numbers are rejected."""
+    """Integer config value, read by the package's one whole-number rule."""
     value = env.get(name, default)
-    if value is not None and not is_integral(value):
-        raise ValidationError(f"config value {name!r} must be an integer, got {value!r}")
-    return value if value is None else int(value)
+    return value if value is None else _whole(value, f"config value {name!r}")
 
 
 def _fill_defaults(args) -> None:

@@ -537,7 +537,10 @@ def build_projection(theta: float, variant: str = "tunable_bs") -> Circuit:
     built per call; the others are built once and shared by every
     projection and by the two analyzers.
     """
-    theta = float(theta) % math.pi
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"projection angle theta must be finite, got {theta}")
+    theta %= math.pi
     if variant == "tunable_bs":
         # A projector beyond pi/2 is the perpendicular port of the analyzer
         # at theta - pi/2, which keeps the splitter transmission in [0, 1].

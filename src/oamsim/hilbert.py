@@ -33,8 +33,6 @@ __all__ = [
     "parity",
     "ModeKey",
     "mode",
-    "is_integral",
-    "oam_index",
     "AMPLITUDE_LIMIT",
     "add_amplitude",
     "parse_coeff_rows",
@@ -89,19 +87,6 @@ class ModeKey(NamedTuple):
     m: int
 
 
-def is_integral(value) -> bool:
-    """An int, an integral float or a string; bools are not integers here."""
-    return ((isinstance(value, (int, str)) and not isinstance(value, bool))
-            or (isinstance(value, float) and value.is_integer()))
-
-
-def oam_index(value) -> int:
-    """OAM index from JSON input; fractions, bools and non-numbers are rejected."""
-    if not is_integral(value):
-        raise ValueError(f"OAM index must be an integer, got {value!r}")
-    return int(value)
-
-
 def add_amplitude(amps: dict, key, re, im=0.0) -> None:
     """Add re + i*im from JSON input into amps[key].
 
@@ -123,18 +108,21 @@ def parse_coeff_rows(rows) -> dict[int, complex]:
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) not in (2, 3):
             raise ValueError(f"coefficient row must be [m, re] or [m, re, im], got {row!r}")
-        add_amplitude(coeffs, oam_index(row[0]), *row[1:])
+        add_amplitude(coeffs, _whole(row[0], "OAM index"), *row[1:])
     return coeffs
 
 
 def _whole(value, what: str) -> int:
-    """`value` as an int if it is whole (an int, a numpy integer, an integral
-    float or text int() reads); anything else raises ValueError naming `what`."""
-    try:
-        if int(value) == value or isinstance(value, (str, bytes)):
-            return int(value)
-    except OverflowError:  # an infinity
-        pass
+    """`value` as an int if it is whole: an int, a numpy integer, an integral
+    float or text int() reads.  A bool, a fraction, a NaN, an infinity or
+    any other value raises ValueError naming `what`.  Every whole-number
+    input of the package reads through here."""
+    if not isinstance(value, bool):
+        try:
+            if isinstance(value, (str, bytes)) or int(value) == value:
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
@@ -168,7 +156,7 @@ def _clean_amplitudes(items) -> dict:
 
 def _band(truncation) -> int:
     """The truncation band K as an int; K < 1 raises TruncationError."""
-    k = int(truncation)
+    k = _whole(truncation, "truncation band")
     if k < 1:
         raise TruncationError("truncation band must satisfy K >= 1")
     return k
@@ -550,7 +538,7 @@ def _shared_basis(paths: Iterable[str], truncation: int) -> ModeBasis:
     path sets give the same instance whatever their order or repeats.  A
     basis over DENSE_DIM_LIMIT raises before anything is allocated, and a
     basis that raises is not kept."""
-    return _basis(tuple(sorted(set(paths))), int(truncation))
+    return _basis(tuple(sorted(set(paths))), _band(truncation))
 
 
 @functools.lru_cache(maxsize=BASIS_CACHE_SIZE)

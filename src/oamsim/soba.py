@@ -32,6 +32,7 @@ from .elements import (
 )
 from .hilbert import H, V, ModeKey, PhotonState, TwoPhotonState, SpectrumModel
 from .sources import (
+    _bell_label,
     canonical_pair_spectrum,
     hyper_source,
     normalize_spin_orbit_label,
@@ -58,15 +59,9 @@ MESSAGE_BITS = {"Psi+": "00", "Psi-": "01", "Phi+": "10", "Phi-": "11"}
 BITS_MESSAGE = {bits: label for label, bits in MESSAGE_BITS.items()}
 DETECTOR_LABELS = {"D1": "psi+", "D2": "psi-", "D3": "phi-", "D4": "phi+"}
 
-_POL_ALIASES = {"Ψ+": "Psi+", "Ψ−": "Psi-", "Ψ-": "Psi-",
-                "Φ+": "Phi+", "Φ−": "Phi-", "Φ-": "Phi-"}
-
 
 def normalize_polarization_label(label: str) -> str:
-    label = _POL_ALIASES.get(label, label)
-    if label not in POLARIZATION_LABELS:
-        raise ValueError(f"unknown polarization Bell label {label!r}")
-    return label
+    return _bell_label(label, POLARIZATION_LABELS, "polarization Bell")
 
 
 def _gate(kind: str, state, slot: int):

@@ -26,7 +26,9 @@ from .hilbert import (
     SpectrumModel,
     TruncationError,
     TwoPhotonState,
+    _band,
     _total,
+    _whole,
     mode,
     parity,
 )
@@ -67,12 +69,11 @@ class SourceSpec:
     truncation: int = 8
 
     def __post_init__(self):
-        if self.pump_order not in (0, 1):
+        if _whole(self.pump_order, "pump order") not in (0, 1):
             raise ValueError("pump_order must be 0 (Gaussian) or 1 (vortex)")
         if self.polarization_mode not in (PRODUCT_HH, BELL_PHI_PLUS):
             raise ValueError(f"unknown polarization mode {self.polarization_mode!r}")
-        if self.truncation < 1:
-            raise ValueError("truncation band must satisfy K >= 1")
+        _band(self.truncation)
 
 
 def source_band(truncation: int) -> int:
@@ -216,17 +217,21 @@ SPIN_ORBIT_STATES: dict[str, tuple[tuple[int, str, complex], ...]] = {
     "phi-": ((ODD_M, H, _SQ2), (EVEN_M, V, -_SQ2)),
 }
 
-_LABEL_ALIASES = {
-    "ψ+": "psi+", "ψ−": "psi-", "ψ-": "psi-",
-    "φ+": "phi+", "φ−": "phi-", "φ-": "phi-",
-}
+_GREEK = str.maketrans({"ψ": "psi", "Ψ": "Psi", "φ": "phi", "Φ": "Phi", "−": "-"})
+
+
+def _bell_label(label, labels, what: str) -> str:
+    """`label` with its Greek letters and minus sign spelled in ASCII, if
+    that is one of `labels`; anything else, a non-string included, raises
+    ValueError naming `what`."""
+    name = label.translate(_GREEK) if isinstance(label, str) else None
+    if name not in labels:
+        raise ValueError(f"unknown {what} label {label!r}")
+    return name
 
 
 def normalize_spin_orbit_label(label: str) -> str:
-    label = _LABEL_ALIASES.get(label, label)
-    if label not in SPIN_ORBIT_STATES:
-        raise ValueError(f"unknown spin-orbit state label {label!r}")
-    return label
+    return _bell_label(label, SPIN_ORBIT_STATES, "spin-orbit state")
 
 
 def prepare_single_photon_bell(label: str, truncation: int = 8,

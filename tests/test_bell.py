@@ -11,6 +11,7 @@ from oamsim.bell import (
     CoincidenceTable,
     ProjectionSetting,
     TSIRELSON,
+    VARIANTS,
     TsirelsonError,
     chsh,
     coincidence,
@@ -22,6 +23,7 @@ from oamsim.bell import (
     _bit_string,
     _joint_probs,
 )
+from oamsim.elements import build_projection
 from oamsim.hilbert import DENSE_BYTES_LIMIT, PhotonState, SpectrumModel, mode
 from oamsim.sources import PRODUCT_HH, SourceSpec, spdc
 from helpers import random_oam_state, random_two_photon
@@ -286,3 +288,30 @@ def test_sample_counts_takes_shots_up_to_the_c_long_limit():
     assert int(counts.sum()) == SHOTS_LIMIT
     with pytest.raises(ValueError, match="exceeds limit"):
         sample_counts([0.5, 0.5], SHOTS_LIMIT + 1, 1, 2)
+
+
+@pytest.mark.parametrize("value", [True, 2.5, math.nan, "x", [4]], ids=repr)
+def test_shots_seed_and_rounds_are_read_by_the_whole_number_rule(value):
+    pair = vortex_state(4)
+    for what, call in [("shots", lambda: sample_counts([0.5, 0.5], value, 1, 2)),
+                       ("seed", lambda: sample_counts([0.5, 0.5], 10, value, 2)),
+                       ("rounds", lambda: ekert_run(pair, value, 1)),
+                       ("seed", lambda: ekert_run(pair, 10, value))]:
+        with pytest.raises(ValueError, match=f"{what} must be an integer, got "):
+            call()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_angle_is_rejected_as_the_projection_angle(variant, angle):
+    """Every library path into a projection names theta, not the splitter's
+    transmission or the plate's angle that a non-finite theta would reach."""
+    photon, pair = PhotonState.from_oam({0: SQ2, 1: SQ2}, 8), vortex_state()
+    calls = [lambda: build_projection(angle, variant),
+             lambda: project_single(photon, ProjectionSetting(angle, variant)),
+             lambda: coincidence(pair, angle, 0.0, variant),
+             lambda: coincidence(pair, 0.0, angle, variant),
+             lambda: chsh(pair, *MAX_SETTINGS[:3], angle, variant=variant)]
+    for call in calls:
+        with pytest.raises(ValueError, match="projection angle theta must be finite, got "):
+            call()

@@ -6,6 +6,7 @@ import shlex
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,8 @@ from oamsim.cli import (
     TRUNCATION_LIMIT,
     main,
 )
-from oamsim.elements import circuit_to_dict
+from oamsim.elements import circuit_to_dict, spiral_phase_plate
+from oamsim.hilbert import PhotonState, SpectrumModel, mode
 
 
 def run_cli(capsys, *argv):
@@ -744,3 +746,87 @@ class TestArgvProperty:
         assert isinstance(json.loads(lines[0]), dict)
         assert err.getvalue() == ""
         assert code in (0, 2, 3)
+
+
+def _key(value):
+    """A dict key for `value`: a list cannot be one, so it becomes the tuple
+    with the same entries, which is just as little a number."""
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _js(value) -> str:
+    return json.dumps(value, default=int)  # a numpy integer as a JSON number
+
+
+# Every entry point of a whole number: name -> (read the value, the quantity
+# its error names).  `run(argv, config)` runs the CLI in-process; an exit 2
+# comes back as the ValueError carrying its JSON message.
+WHOLE_NUMBER_ENTRY_POINTS = {
+    "mode": (lambda v, run: mode(v), "OAM index"),
+    "from_oam": (lambda v, run: PhotonState.from_oam({_key(v): 1.0}, 8).amplitudes,
+                 "OAM index"),
+    "explicit_spectrum": (lambda v, run: SpectrumModel.explicit({_key(v): 1.0}).coeffs,
+                          "OAM index"),
+    "spp_order": (lambda v, run: spiral_phase_plate("a", v), "spiral phase plate order"),
+    "state_coeffs": (lambda v, run: run(["sorter", "--state", f'{{"coeffs": [[{_js(v)}, 1]]}}']),
+                     "OAM index"),
+    "spectrum_coeffs": (lambda v, run: run(["state", "--pump", "0", "--spectrum",
+                                            f'{{"kind": "explicit", "coeffs": [[{_js(v)}, 1]]}}']),
+                        "OAM index"),
+    "terms_m": (lambda v, run: run(["sorter", "--state",
+                                    f'{{"terms": [{{"m": {_js(v)}, "re": 1}}]}}']),
+                "OAM index"),
+    "config_truncation": (lambda v, run: run(["sorter", "--m", "1"], {"truncation": v}),
+                          "config value 'truncation'"),
+    "config_shots": (lambda v, run: run(["sorter", "--m", "1"], {"shots": v, "seed": 1}),
+                     "config value 'shots'"),
+    "config_seed": (lambda v, run: run(["sorter", "--m", "1"], {"seed": v}),
+                    "config value 'seed'"),
+}
+
+
+class TestWholeNumberRule:
+    """One rule reads every whole number, from the library or from JSON: an
+    accepted spelling builds exactly what the plain int builds, and anything
+    else is a ValueError, exit 2 on the CLI, that names the quantity."""
+
+    ACCEPTED = [(2, 2), (-3, -3), (2.0, 2), ("3", 3), (np.int64(5), 5)]
+    REJECTED = [True, False, 1.5, math.nan, math.inf, -math.inf, [4]]
+
+    @pytest.fixture
+    def outcome(self, capsys, tmp_path, monkeypatch):
+        def run(argv, config=None):
+            if config is not None:
+                path = tmp_path / "config.json"
+                path.write_text(_js(config))
+                monkeypatch.setenv(cli.CONFIG_ENV, str(path))
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert captured.err == "" and len(captured.out.splitlines()) == 1
+            if code == 2:
+                raise ValueError(json.loads(captured.out)["error"]["message"])
+            assert code == 0, captured.out
+            return captured.out
+
+        def outcome(entry, value):
+            """("ok", repr of what was built) or ("error", the message)."""
+            read, _ = WHOLE_NUMBER_ENTRY_POINTS[entry]
+            try:
+                return "ok", repr(read(value, run))
+            except ValueError as exc:
+                return "error", str(exc)
+        return outcome
+
+    @pytest.mark.parametrize("entry", WHOLE_NUMBER_ENTRY_POINTS)
+    @pytest.mark.parametrize("value,want", ACCEPTED, ids=repr)
+    def test_an_accepted_spelling_reads_as_its_int(self, outcome, entry, value, want):
+        got = outcome(entry, value)
+        assert got == outcome(entry, want)
+        assert "must be an integer" not in got[1]
+
+    @pytest.mark.parametrize("entry", WHOLE_NUMBER_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", REJECTED, ids=repr)
+    def test_anything_else_is_an_error_naming_the_quantity(self, outcome, entry, value):
+        kind, message = outcome(entry, value)
+        assert kind == "error"
+        assert f"{WHOLE_NUMBER_ENTRY_POINTS[entry][1]} must be an integer, got " in message

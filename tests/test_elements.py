@@ -242,8 +242,8 @@ class TestSingleElements:
     @pytest.mark.parametrize("factory,name,good,bad", [
         (lambda path, t: beam_splitter(path, "b", "c", "d", t=t), "t",
          [0, 1, SQ2, "0.5", np.float32(0.25)], [1.2, -0.1, math.nan, "x"]),
-        (spiral_phase_plate, "q", [1, 1.0, True, "-3", np.int64(5), 10 ** 30],
-         [1.5, "1.5", math.inf, -math.inf]),
+        (spiral_phase_plate, "q", [1, 1.0, "-3", np.int64(5), 10 ** 30],
+         [1.5, "1.5", math.inf, -math.inf, True]),
         (half_wave_plate, "theta", [8e307, -8e307, "0.25", 1], [9e307, -9e307, "nan"]),
         (dove_prism, "alpha", [1e308, np.float32(2.0), 3], [math.inf, "abc"]),
         (phase_delay, "phi", [-1e308, 0], [-math.inf, math.nan]),

@@ -35,6 +35,7 @@ from oamsim.soba import (
     encode_polarization_bell,
     hbsa_decode,
     joint_soba,
+    normalize_polarization_label,
     oc_p_gate,
     pc_o_gate,
     soba_route,
@@ -42,6 +43,7 @@ from oamsim.soba import (
 from oamsim.sources import (
     canonical_pair_spectrum,
     hyper_source,
+    normalize_spin_orbit_label,
     prepare_single_photon_bell,
 )
 from helpers import random_full_state, random_two_photon
@@ -305,3 +307,38 @@ class TestDenseCoding:
     def test_bit_assignment_fixed(self):
         assert MESSAGE_BITS == {"Psi+": "00", "Psi-": "01",
                                 "Phi+": "10", "Phi-": "11"}
+
+
+class TestBellLabels:
+    """One rule reads both label families: ψ/Ψ and φ/Φ and the minus sign
+    "−" are spelled in ASCII, and only a label of the family is taken."""
+
+    SPIN_ORBIT = {"psi+": ["psi+", "ψ+"], "psi-": ["psi-", "ψ-", "ψ−", "psi−"],
+                  "phi+": ["phi+", "φ+"], "phi-": ["phi-", "φ-", "φ−", "phi−"]}
+    POLARIZATION = {"Psi+": ["Psi+", "Ψ+"], "Psi-": ["Psi-", "Ψ-", "Ψ−", "Psi−"],
+                    "Phi+": ["Phi+", "Φ+"], "Phi-": ["Phi-", "Φ-", "Φ−", "Phi−"]}
+    FAMILIES = [(normalize_spin_orbit_label, SPIN_ORBIT, "spin-orbit state"),
+                (normalize_polarization_label, POLARIZATION, "polarization Bell")]
+
+    @pytest.mark.parametrize("normalize,family,what", FAMILIES,
+                             ids=["spin_orbit", "polarization"])
+    def test_every_spelling_normalizes_to_its_ascii_label(self, normalize, family, what):
+        for label, spellings in family.items():
+            for spelling in spellings:
+                assert normalize(spelling) == label
+
+    @pytest.mark.parametrize("normalize,family,what", FAMILIES,
+                             ids=["spin_orbit", "polarization"])
+    @pytest.mark.parametrize("label", ["chi+", "psi", "PSI+", "ψ", "", 5, None, ["psi+"],
+                                       ("Psi+",), b"psi+", {"phi-": 1}], ids=repr)
+    def test_anything_else_is_a_value_error(self, normalize, family, what, label):
+        with pytest.raises(ValueError, match=f"unknown {what} label"):
+            normalize(label)
+
+    def test_one_family_does_not_take_the_others_labels(self):
+        for spelling in [s for spellings in self.POLARIZATION.values() for s in spellings]:
+            with pytest.raises(ValueError):
+                normalize_spin_orbit_label(spelling)
+        for spelling in [s for spellings in self.SPIN_ORBIT.values() for s in spellings]:
+            with pytest.raises(ValueError):
+                normalize_polarization_label(spelling)

@@ -41,6 +41,19 @@ def test_source_band(k, expected):
     assert source_band(k) == expected
 
 
+@pytest.mark.parametrize("pump,truncation,error,message", [
+    (1, 0, TruncationError, "truncation band must satisfy K >= 1"),
+    (1, -3, TruncationError, "truncation band must satisfy K >= 1"),
+    (1, 2.5, ValueError, "truncation band must be an integer, got 2.5"),
+    (1, True, ValueError, "truncation band must be an integer, got True"),
+    (True, 8, ValueError, "pump order must be an integer, got True"),
+    (2, 8, ValueError, "pump_order must be 0"),
+])
+def test_source_spec_reads_its_whole_numbers_by_the_one_rule(pump, truncation, error, message):
+    with pytest.raises(error, match=message):
+        SourceSpec(pump, SpectrumModel.uniform(), PRODUCT_HH, truncation)
+
+
 class TestVortexPump:
     def test_uniform_k3_parity_marginals(self):
         state = spdc(SourceSpec(1, SpectrumModel.uniform(), PRODUCT_HH, 3))

@@ -106,6 +106,8 @@ def project_single(state: PhotonState, setting: ProjectionSetting):
 
 def _bob_angle(chi: float) -> float:
     # Bob's odd-axis reference realized as the complementary analyzer angle.
+    if not math.isfinite(chi):
+        raise ValueError(f"projection angle chi must be finite, got {chi}")
     return math.pi / 2.0 - chi
 
 

@@ -68,6 +68,7 @@ from .hilbert import (
     PRUNE_EPS,
     PhotonState,
     TwoPhotonState,
+    _band,
     _clean_amplitudes,
     _shared_basis,
     _whole,
@@ -752,7 +753,7 @@ def circuit_unitary(circuit: Circuit, truncation: int) -> tuple[np.ndarray, Mode
     cost is O(1) per one-source row and O(entries read) per two-source row;
     the one n x n array is the output, written by one scatter.
     """
-    basis = _shared_basis(circuit.paths(), truncation)
+    basis = _shared_basis(circuit.paths(), _band(truncation))
     n = basis.size
     p, g = np.arange(n), np.ones(n, complex)
     wk, wv = np.arange(n) * (n + 1), np.ones(n, complex)

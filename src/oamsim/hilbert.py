@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -114,15 +115,17 @@ def parse_coeff_rows(rows) -> dict[int, complex]:
 
 def _whole(value, what: str) -> int:
     """`value` as an int if it is whole: an int, a numpy integer, an integral
-    float or text int() reads.  A bool, a fraction, a NaN, an infinity or
-    any other value raises ValueError naming `what`.  Every whole-number
-    input of the package reads through here."""
-    if not isinstance(value, bool):
-        try:
-            if isinstance(value, (str, bytes)) or int(value) == value:
-                return int(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
+    float or text int() reads.  A bool (numpy's too: it is no registered
+    number), a fraction, a NaN, an infinity or any other value raises
+    ValueError naming `what`.  Every whole-number input of the package reads
+    through here."""
+    try:
+        if isinstance(value, (str, bytes)) or (
+                isinstance(value, numbers.Number) and not isinstance(value, bool)
+                and int(value) == value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
@@ -537,8 +540,9 @@ def _shared_basis(paths: Iterable[str], truncation: int) -> ModeBasis:
     """The one basis over `paths` at band K that the oracle shares: equal
     path sets give the same instance whatever their order or repeats.  A
     basis over DENSE_DIM_LIMIT raises before anything is allocated, and a
-    basis that raises is not kept."""
-    return _basis(tuple(sorted(set(paths))), _band(truncation))
+    basis that raises is not kept.  `truncation` is a band already read by
+    `_band`."""
+    return _basis(tuple(sorted(set(paths))), truncation)
 
 
 @functools.lru_cache(maxsize=BASIS_CACHE_SIZE)

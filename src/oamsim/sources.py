@@ -69,11 +69,12 @@ class SourceSpec:
     truncation: int = 8
 
     def __post_init__(self):
-        if _whole(self.pump_order, "pump order") not in (0, 1):
+        object.__setattr__(self, "pump_order", _whole(self.pump_order, "pump order"))
+        object.__setattr__(self, "truncation", _band(self.truncation))
+        if self.pump_order not in (0, 1):
             raise ValueError("pump_order must be 0 (Gaussian) or 1 (vortex)")
         if self.polarization_mode not in (PRODUCT_HH, BELL_PHI_PLUS):
             raise ValueError(f"unknown polarization mode {self.polarization_mode!r}")
-        _band(self.truncation)
 
 
 def source_band(truncation: int) -> int:

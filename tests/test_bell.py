@@ -303,15 +303,16 @@ def test_shots_seed_and_rounds_are_read_by_the_whole_number_rule(value):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
-def test_a_non_finite_angle_is_rejected_as_the_projection_angle(variant, angle):
-    """Every library path into a projection names theta, not the splitter's
-    transmission or the plate's angle that a non-finite theta would reach."""
+def test_a_non_finite_angle_is_rejected_by_its_own_name(variant, angle):
+    """Every library path into a projection names the angle it was given,
+    theta or chi, not the splitter's transmission or the plate's angle that
+    a non-finite angle would reach."""
     photon, pair = PhotonState.from_oam({0: SQ2, 1: SQ2}, 8), vortex_state()
-    calls = [lambda: build_projection(angle, variant),
-             lambda: project_single(photon, ProjectionSetting(angle, variant)),
-             lambda: coincidence(pair, angle, 0.0, variant),
-             lambda: coincidence(pair, 0.0, angle, variant),
-             lambda: chsh(pair, *MAX_SETTINGS[:3], angle, variant=variant)]
-    for call in calls:
-        with pytest.raises(ValueError, match="projection angle theta must be finite, got "):
+    calls = [("theta", lambda: build_projection(angle, variant)),
+             ("theta", lambda: project_single(photon, ProjectionSetting(angle, variant))),
+             ("theta", lambda: coincidence(pair, angle, 0.0, variant)),
+             ("chi", lambda: coincidence(pair, 0.0, angle, variant)),
+             ("chi", lambda: chsh(pair, *MAX_SETTINGS[:3], angle, variant=variant))]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"projection angle {name} must be finite, got {angle}$"):
             call()

@@ -755,7 +755,7 @@ def _key(value):
 
 
 def _js(value) -> str:
-    return json.dumps(value, default=int)  # a numpy integer as a JSON number
+    return json.dumps(value, default=lambda v: v.item())  # a numpy scalar as its JSON value
 
 
 # Every entry point of a whole number: name -> (read the value, the quantity
@@ -791,7 +791,7 @@ class TestWholeNumberRule:
     else is a ValueError, exit 2 on the CLI, that names the quantity."""
 
     ACCEPTED = [(2, 2), (-3, -3), (2.0, 2), ("3", 3), (np.int64(5), 5)]
-    REJECTED = [True, False, 1.5, math.nan, math.inf, -math.inf, [4]]
+    REJECTED = [True, False, np.True_, np.False_, 1.5, math.nan, math.inf, -math.inf, [4]]
 
     @pytest.fixture
     def outcome(self, capsys, tmp_path, monkeypatch):

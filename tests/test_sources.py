@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from oamsim.elements import apply_element, half_wave_plate
@@ -47,11 +48,29 @@ def test_source_band(k, expected):
     (1, 2.5, ValueError, "truncation band must be an integer, got 2.5"),
     (1, True, ValueError, "truncation band must be an integer, got True"),
     (True, 8, ValueError, "pump order must be an integer, got True"),
+    (np.True_, 8, ValueError, "pump order must be an integer, got "),
     (2, 8, ValueError, "pump_order must be 0"),
 ])
 def test_source_spec_reads_its_whole_numbers_by_the_one_rule(pump, truncation, error, message):
     with pytest.raises(error, match=message):
         SourceSpec(pump, SpectrumModel.uniform(), PRODUCT_HH, truncation)
+
+
+@pytest.mark.parametrize("pump,truncation", [("1", 8), (1, "8"), (1.0, 8.0),
+                                             (np.int64(1), np.int64(8))], ids=repr)
+def test_source_spec_keeps_the_ints_it_reads(pump, truncation):
+    """An accepted spelling is stored as its int, so the source built from it
+    is the vortex pair (m1 + m2 = 1) at K = 8, as from the plain ints."""
+    spectrum = SpectrumModel.gaussian(1.5)
+    spec, plain = (SourceSpec(pump, spectrum, PRODUCT_HH, truncation),
+                   SourceSpec(1, spectrum, PRODUCT_HH, 8))
+    assert (type(spec.pump_order), type(spec.truncation)) == (int, int)
+    assert spec == plain
+    state = spdc(spec)
+    assert state.truncation == 8
+    assert state.amplitudes == spdc(plain).amplitudes
+    assert {k1.m + k2.m for k1, k2 in state.amplitudes} == {1}
+    assert dropped_weight(spec) == dropped_weight(plain)
 
 
 class TestVortexPump:

@@ -49,21 +49,26 @@ class TsirelsonError(RuntimeError):
 # angles gives key bits, the outer 2x2 block is the CHSH witness.
 ALICE_KEY_ANGLES = (0.0, math.pi / 8.0, math.pi / 4.0)
 BOB_KEY_ANGLES = (math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0)
-_MATCHED = {(1, 0), (2, 1)}
+# 3 * Alice's index + Bob's for the matched angles, pairs (1, 0) and (2, 1).
+_KEY_SETTINGS = (3, 7)
 _CHSH_COMBOS = ((0, 0), (0, 2), (2, 0), (2, 2))
 
 VARIANTS = ("tunable_bs", "polarization")
 
-# Peak bytes ekert_run holds per round (tracemalloc: 43.9 at 1e5 rounds and
-# 43.7 at 1e6), rounded up; the round count is bounded by the same memory
-# budget as the dense oracle.
+# The per-round byte budget the round limit is derived from, under the same
+# memory budget as the dense oracle; ekert_run peaks at 11.5 B/round
+# (tracemalloc: 11.5 at 1e5 rounds and 11.3 at 1e6).
 EKERT_BYTES_PER_ROUND = 48
 EKERT_ROUNDS_LIMIT = DENSE_BYTES_LIMIT // EKERT_BYTES_PER_ROUND
 
 
 def task_rng(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic sub-stream for (seed, task indices); thread-count neutral."""
-    return np.random.default_rng(np.random.SeedSequence([_whole(seed, "seed"), *map(int, key)]))
+    """Deterministic sub-stream for (seed, task indices); thread-count neutral.
+    Every seeded draw of the package enters here."""
+    seed = _whole(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence([seed, *map(int, key)]))
 
 
 # The multinomial takes its draw count as a C long.
@@ -289,7 +294,8 @@ def ekert_run(s: TwoPhotonState, rounds: int, seed: int,
     so an anticorrelated source gives identical sifted keys); the four
     outer setting pairs accumulate the CHSH estimate.  Outcomes are sampled
     from one deterministic sub-stream per setting pair, so results do not
-    depend on any parallel scheduling.
+    depend on any parallel scheduling.  A round holds one int8 setting
+    index, 3 * Alice's index + Bob's, and one int8 outcome.
     """
     rounds, seed = _whole(rounds, "rounds"), _whole(seed, "seed")
     if rounds < 1:
@@ -297,14 +303,15 @@ def ekert_run(s: TwoPhotonState, rounds: int, seed: int,
     if rounds > EKERT_ROUNDS_LIMIT:
         raise ValueError(f"rounds {rounds} exceeds limit {EKERT_ROUNDS_LIMIT}")
     base = task_rng(seed, 0)
-    a_idx = base.integers(0, 3, size=rounds)
-    b_idx = base.integers(0, 3, size=rounds)
+    # Each index is drawn as int64, Alice's first, and cast after the draw.
+    setting = 3 * base.integers(0, 3, size=rounds).astype(np.int8)
+    setting += base.integers(0, 3, size=rounds)
 
-    outcome = np.full(rounds, -1, dtype=np.int64)
+    outcome = np.empty(rounds, dtype=np.int8)  # each round is one of the nine pairs
     combo_counts: dict[tuple[int, int], np.ndarray] = {}
     for ai in range(3):
         for bi in range(3):
-            here = np.flatnonzero((a_idx == ai) & (b_idx == bi))
+            here = np.flatnonzero(setting == 3 * ai + bi)
             if here.size == 0:
                 continue
             probs = _clean_probs(_joint_probs(
@@ -313,13 +320,9 @@ def ekert_run(s: TwoPhotonState, rounds: int, seed: int,
             outcome[here] = draws
             combo_counts[(ai, bi)] = np.bincount(draws, minlength=4)
 
-    matched = np.zeros(rounds, dtype=bool)
-    for ai, bi in _MATCHED:
-        matched |= (a_idx == ai) & (b_idx == bi)
-    alice_bits = (outcome[matched] // 2).astype(int)
-    bob_bits = (outcome[matched] % 2).astype(int)  # port flip folded in
-    key_a, key_b = _bit_string(alice_bits), _bit_string(bob_bits)
-    qber = float(np.mean(alice_bits != bob_bits)) if matched.any() else None
+    sifted = outcome[np.isin(setting, _KEY_SETTINGS)]
+    alice_bits, bob_bits = sifted // 2, sifted % 2  # port flip folded in
+    qber = float(np.mean(alice_bits != bob_bits)) if sifted.size else None
 
     chsh_counts = [combo_counts[c] for c in _CHSH_COMBOS if c in combo_counts]
     estimate = sigma = None
@@ -327,13 +330,6 @@ def ekert_run(s: TwoPhotonState, rounds: int, seed: int,
         estimate, sigma = _chsh_b_sigma([_e_value(*c) for c in chsh_counts],
                                         [c.sum() for c in chsh_counts])
     return EkertResult(
-        rounds=rounds,
-        seed=seed,
-        key_a=key_a,
-        key_b=key_b,
-        qber=qber,
-        chsh_estimate=estimate,
-        chsh_sigma=sigma,
-        matched_rounds=int(matched.sum()),
-        chsh_rounds=int(sum(c.sum() for c in chsh_counts)),
-    )
+        rounds=rounds, seed=seed, key_a=_bit_string(alice_bits), key_b=_bit_string(bob_bits),
+        qber=qber, chsh_estimate=estimate, chsh_sigma=sigma, matched_rounds=sifted.size,
+        chsh_rounds=int(sum(c.sum() for c in chsh_counts)))

@@ -7,6 +7,18 @@ import math
 
 import numpy as np
 
+from oamsim.bell import (
+    ALICE_KEY_ANGLES,
+    BOB_KEY_ANGLES,
+    EKERT_ROUNDS_LIMIT,
+    EkertResult,
+    _bit_string,
+    _chsh_b_sigma,
+    _clean_probs,
+    _e_value,
+    _joint_probs,
+    task_rng,
+)
 from oamsim.elements import (
     Circuit,
     beam_splitter,
@@ -17,7 +29,7 @@ from oamsim.elements import (
     polarizing_bs,
     spiral_phase_plate,
 )
-from oamsim.hilbert import H, V, PhotonState, TwoPhotonState, mode
+from oamsim.hilbert import H, V, PhotonState, TwoPhotonState, _whole, mode
 
 
 # Around the prune threshold: zeros, below PRUNE_EPS / 2, between
@@ -122,3 +134,57 @@ def compensated_sum(iterable, /, start=0):
         c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
         total = t
     return total + c if c and math.isfinite(c) else total
+
+
+def reference_ekert_run(s: TwoPhotonState, rounds: int, seed: int,
+                        variant: str = "tunable_bs") -> EkertResult:
+    """bell.ekert_run as it was with two int64 index arrays, an int64
+    outcome array and pair masks built to sample and again to sift: the
+    stream and result that the one-setting-index run must reproduce."""
+    rounds, seed = _whole(rounds, "rounds"), _whole(seed, "seed")
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    if rounds > EKERT_ROUNDS_LIMIT:
+        raise ValueError(f"rounds {rounds} exceeds limit {EKERT_ROUNDS_LIMIT}")
+    base = task_rng(seed, 0)
+    a_idx = base.integers(0, 3, size=rounds)
+    b_idx = base.integers(0, 3, size=rounds)
+
+    outcome = np.full(rounds, -1, dtype=np.int64)
+    combo_counts: dict[tuple[int, int], np.ndarray] = {}
+    for ai in range(3):
+        for bi in range(3):
+            here = np.flatnonzero((a_idx == ai) & (b_idx == bi))
+            if here.size == 0:
+                continue
+            probs = _clean_probs(_joint_probs(
+                s, ALICE_KEY_ANGLES[ai], BOB_KEY_ANGLES[bi], variant))
+            draws = task_rng(seed, 1, ai, bi).choice(4, size=here.size, p=probs)
+            outcome[here] = draws
+            combo_counts[(ai, bi)] = np.bincount(draws, minlength=4)
+
+    matched = np.zeros(rounds, dtype=bool)
+    for ai, bi in ((1, 0), (2, 1)):
+        matched |= (a_idx == ai) & (b_idx == bi)
+    alice_bits = (outcome[matched] // 2).astype(int)
+    bob_bits = (outcome[matched] % 2).astype(int)
+    key_a, key_b = _bit_string(alice_bits), _bit_string(bob_bits)
+    qber = float(np.mean(alice_bits != bob_bits)) if matched.any() else None
+
+    combos = ((0, 0), (0, 2), (2, 0), (2, 2))
+    chsh_counts = [combo_counts[c] for c in combos if c in combo_counts]
+    estimate = sigma = None
+    if len(chsh_counts) == len(combos):
+        estimate, sigma = _chsh_b_sigma([_e_value(*c) for c in chsh_counts],
+                                        [c.sum() for c in chsh_counts])
+    return EkertResult(
+        rounds=rounds,
+        seed=seed,
+        key_a=key_a,
+        key_b=key_b,
+        qber=qber,
+        chsh_estimate=estimate,
+        chsh_sigma=sigma,
+        matched_rounds=int(matched.sum()),
+        chsh_rounds=int(sum(c.sum() for c in chsh_counts)),
+    )

@@ -25,8 +25,9 @@ from oamsim.bell import (
 )
 from oamsim.elements import build_projection
 from oamsim.hilbert import DENSE_BYTES_LIMIT, PhotonState, SpectrumModel, mode
+from oamsim.soba import dense_coding_roundtrip
 from oamsim.sources import PRODUCT_HH, SourceSpec, spdc
-from helpers import random_oam_state, random_two_photon
+from helpers import random_oam_state, random_two_photon, reference_ekert_run
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -235,6 +236,9 @@ class TestEkert:
         assert EKERT_ROUNDS_LIMIT >= 10 ** 6
 
     def test_bytes_per_round_cover_the_measured_peak(self):
+        """The budget covers the peak, which stays within 16 bytes per round:
+        one int8 setting index and one int8 outcome per round (two int64
+        index arrays, an int64 outcome and pair masks peaked at 32.2)."""
         state = vortex_state()
         ekert_run(state, rounds=100, seed=1)  # builds every analyzer once
         rounds = 10 ** 5
@@ -244,7 +248,26 @@ class TestEkert:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= EKERT_BYTES_PER_ROUND * rounds
+        assert peak <= 16 * rounds <= EKERT_BYTES_PER_ROUND * rounds
+
+    def test_equals_the_reference_run(self):
+        """Every field, bit for bit, over spectra, K, both variants, round
+        counts down to 1 and 2 (setting pairs with no round, an empty key,
+        no CHSH estimate) and seeds, plus one run of 1e5 rounds."""
+        spectra = (SpectrumModel.uniform(), SpectrumModel.gaussian(1.5),
+                   SpectrumModel.explicit({0: 1.0, 1: 0.5 + 0.3j}))
+        cases = [(spdc(SourceSpec(1, spectrum, PRODUCT_HH, k)), rounds, seed, variant)
+                 for spectrum in spectra for k in (1, 8) for variant in VARIANTS
+                 for rounds in (1, 2, 3, 40, 1000) for seed in (0, 1, 2 ** 31 - 1)]
+        cases.append((vortex_state(), 10 ** 5, 20260810, "tunable_bs"))
+        results = []
+        for state, rounds, seed, variant in cases:
+            result = ekert_run(state, rounds, seed, variant)
+            assert repr(result) == repr(reference_ekert_run(state, rounds, seed, variant))
+            results.append(result)
+        assert any(r.key_a == "" for r in results)
+        assert any(r.chsh_estimate is None for r in results)
+        assert any(r.qber is not None and r.qber > 0.0 for r in results)
 
     def test_too_many_rounds_rejected_before_allocation(self):
         state = vortex_state()
@@ -264,6 +287,19 @@ class TestEkert:
         result = ekert_run(state, rounds=1500, seed=5)
         assert result.qber == 0.0
         assert result.key_a == result.key_b
+
+
+@pytest.mark.parametrize("seed, call", [
+    (-1, lambda pair: ekert_run(pair, 10, -1)),
+    (-3, lambda pair: sample_counts([0.5, 0.5], 10, -3)),
+    (-2, lambda pair: chsh(pair, *MAX_SETTINGS, shots=10, seed=-2)),
+    (-1, lambda pair: dense_coding_roundtrip("01", shots=5, seed=-1)),
+], ids=["ekert_run", "sample_counts", "chsh", "dense_coding_roundtrip"])
+def test_a_negative_seed_is_named_where_every_draw_enters(seed, call):
+    """Every seeded draw enters through task_rng, which names the seed as
+    the CLI does instead of leaving it to numpy's unnamed rejection."""
+    with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+        call(vortex_state(4))
 
 
 def test_task_rng_streams_are_independent_of_order():

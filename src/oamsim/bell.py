@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elements import build_projection, joint_readout, readout
+from .elements import build_projection, joint_readouts, readout
 from .hilbert import DENSE_BYTES_LIMIT, V, PhotonState, TwoPhotonState, _total, _whole
 
 __all__ = [
@@ -116,11 +116,19 @@ def _bob_angle(chi: float) -> float:
     return math.pi / 2.0 - chi
 
 
-def _joint_probs(s: TwoPhotonState, theta: float, chi: float, variant: str):
-    """Joint detector probabilities (d13, d14, d23, d24) from the circuits."""
+def _joint_grid(s: TwoPhotonState, settings, variant: str):
+    """Joint detector probabilities (d13, d14, d23, d24) from the circuits,
+    yielded for each (theta, chi) of `settings` in order; each circuit
+    prefix the settings share is applied once."""
     _require_h_polarized(s, variant)
-    return tuple(joint_readout(build_projection(theta, variant),
-                               build_projection(_bob_angle(chi), variant), s).values())
+    pairs = [(build_projection(theta, variant), build_projection(_bob_angle(chi), variant))
+             for theta, chi in settings]
+    return (tuple(probs.values()) for probs in joint_readouts(pairs, s))
+
+
+def _joint_probs(s: TwoPhotonState, theta: float, chi: float, variant: str):
+    """Joint detector probabilities (d13, d14, d23, d24) at one setting pair."""
+    return next(_joint_grid(s, ((theta, chi),), variant))
 
 
 def projector_coincidence(s: TwoPhotonState, theta: float, chi: float):
@@ -226,11 +234,19 @@ class CoincidenceTable:
         return _e_value(self.d13, self.d14, self.d23, self.d24)
 
 
-def _table(s: TwoPhotonState, theta: float, chi: float, variant: str,
-           shots: int, seed: int | None, *key: int) -> CoincidenceTable:
-    """Exact table at one setting pair; shots > 0 adds one draw on rng `key`."""
-    d = _joint_probs(s, theta, chi, variant)
-    if shots <= 0:
+def _shots(shots) -> int:
+    """A shot count as every sampled call reads it: a whole number >= 0."""
+    shots = _whole(shots, "shots")
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
+    return shots
+
+
+def _table(theta: float, chi: float, d, shots: int, seed: int | None,
+           *key: int) -> CoincidenceTable:
+    """Table of the exact probabilities `d` at one setting pair; shots > 0
+    adds one draw on rng `key`."""
+    if shots == 0:
         return CoincidenceTable(theta, chi, *d)
     counts = sample_counts(d, shots, seed, *key)
     return CoincidenceTable(theta, chi, *d, counts=tuple(int(c) for c in counts))
@@ -240,7 +256,8 @@ def coincidence(s: TwoPhotonState, theta: float, chi: float,
                 variant: str = "tunable_bs", shots: int = 0,
                 seed: int | None = None) -> CoincidenceTable:
     """Coincidence table at one setting pair; shots > 0 samples a multinomial."""
-    return _table(s, theta, chi, variant, shots, seed, 2)
+    shots = _shots(shots)
+    return _table(theta, chi, _joint_probs(s, theta, chi, variant), shots, seed, 2)
 
 
 @dataclass(frozen=True)
@@ -256,9 +273,10 @@ def chsh(s: TwoPhotonState, theta: float, theta2: float, chi: float, chi2: float
          variant: str = "tunable_bs", shots: int = 0,
          seed: int | None = None) -> CHSHResult:
     """CHSH combination B = |E(t,c) - E(t,c') + E(t',c) + E(t',c')|."""
+    shots = _shots(shots)
     pairs = ((theta, chi), (theta, chi2), (theta2, chi), (theta2, chi2))
-    tables = [_table(s, t, c, variant, shots, seed, 2, i)
-              for i, (t, c) in enumerate(pairs)]
+    tables = [_table(t, c, d, shots, seed, 2, i)
+              for i, ((t, c), d) in enumerate(zip(pairs, _joint_grid(s, pairs, variant)))]
     e = [tab.e_value() for tab in tables]
     b, sigma = _chsh_b_sigma(e, [shots] * 4 if shots > 0 else None)
     if sigma is None and b > TSIRELSON + 1e-9:
@@ -306,19 +324,17 @@ def ekert_run(s: TwoPhotonState, rounds: int, seed: int,
     # Each index is drawn as int64, Alice's first, and cast after the draw.
     setting = 3 * base.integers(0, 3, size=rounds).astype(np.int8)
     setting += base.integers(0, 3, size=rounds)
+    drawn = np.flatnonzero(np.bincount(setting, minlength=9)).tolist()
 
     outcome = np.empty(rounds, dtype=np.int8)  # each round is one of the nine pairs
     combo_counts: dict[tuple[int, int], np.ndarray] = {}
-    for ai in range(3):
-        for bi in range(3):
-            here = np.flatnonzero(setting == 3 * ai + bi)
-            if here.size == 0:
-                continue
-            probs = _clean_probs(_joint_probs(
-                s, ALICE_KEY_ANGLES[ai], BOB_KEY_ANGLES[bi], variant))
-            draws = task_rng(seed, 1, ai, bi).choice(4, size=here.size, p=probs)
-            outcome[here] = draws
-            combo_counts[(ai, bi)] = np.bincount(draws, minlength=4)
+    settings = [(ALICE_KEY_ANGLES[i // 3], BOB_KEY_ANGLES[i % 3]) for i in drawn]
+    for i, d in zip(drawn, _joint_grid(s, settings, variant)):
+        ai, bi = divmod(i, 3)
+        here = np.flatnonzero(setting == i)
+        draws = task_rng(seed, 1, ai, bi).choice(4, size=here.size, p=_clean_probs(d))
+        outcome[here] = draws
+        combo_counts[(ai, bi)] = np.bincount(draws, minlength=4)
 
     sifted = outcome[np.isin(setting, _KEY_SETTINGS)]
     alice_bits, bob_bits = sifted // 2, sifted % 2  # port flip folded in

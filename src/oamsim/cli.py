@@ -57,8 +57,10 @@ CONFIG_ENV = "OAMSIM_CONFIG"
 
 # Peak bytes per unit of K of the largest structure any command builds, that
 # of `bell --variant polarization` (tracemalloc, one fresh process per run:
-# 13.9 kB at K=1000, 17.6 kB at K=8000 and 17.4 kB at the limit), rounded
-# up.  K is bounded by the same memory budget as the dense oracle.
+# 13.6 kB at K=1000, 17.2 kB at K=8000 and 17.6 kB at the limit, with the
+# four tables evaluated as one prefix tree, which keeps a state only where a
+# later table branches off), rounded up.  K is bounded by the same memory
+# budget as the dense oracle.
 TRUNCATION_BYTES_PER_K = 20_000
 TRUNCATION_LIMIT = DENSE_BYTES_LIMIT // TRUNCATION_BYTES_PER_K
 

@@ -20,7 +20,10 @@ an element does to each basis mode is computed once per (element, K) and
 kept in a bounded LRU (see ACTION_CACHE_SIZE); the built-in setups, and the
 projection elements that do not depend on theta, are built once per
 process.  A pass of any kind but the mixers bs and hwp writes each key once
-and cleans in the same loop; a mixer sums, then is cleaned.
+and cleans in the same loop; a mixer sums, then is cleaned.  Every
+application runs through one loop, `_evaluate`: `apply_element` and
+`apply_circuit` as one run of passes, `readouts` and `joint_readouts` as a
+list of runs, each pass prefix that consecutive runs share applied once.
 
 The dense oracle reads neither `_key_action` nor that cache: `_band_rules`
 states each element's action a second time, as rules on whole (path, pol)
@@ -92,6 +95,8 @@ __all__ = [
     "coincidence_detect",
     "readout",
     "joint_readout",
+    "readouts",
+    "joint_readouts",
     "build_sorter",
     "build_s2_setup",
     "build_s3_setup",
@@ -292,9 +297,10 @@ def _key_action(elem: Element, key: ModeKey, truncation: int):
 # seen.  The memoized setups, with the polarization projection's three fixed
 # elements, hold 19 distinct elements; one qubit-batch operation adds 2
 # recurring and 4 one-off projection elements.  Measured on 2 cores (Python
-# 3.11): 3000 qubit-batch operations took 11.2-11.8 s with 16 tables against
-# 9.1-10.1 s with 32; 64 tables raised the oracle workload's peak RSS by
-# 2.2 MB and 512 tables qubit-batch's by 3.3 MB.
+# 3.11): 3000 qubit-batch operations took 3.0-3.1 s with 16 tables against
+# 2.7-2.8 s with 32 (11.2-11.8 s against 9.1-10.1 s before each pass was
+# evaluated once and the dense-coding channel kept); 64 tables raised the
+# oracle workload's peak RSS by 2.2 MB and 512 tables qubit-batch's by 3.3 MB.
 ACTION_CACHE_SIZE = 32
 
 
@@ -348,8 +354,48 @@ def _fill(table: dict, elem: Element, mode_key: ModeKey, truncation: int) -> lis
     return action
 
 
+def _shared_depth(run: list, other: list) -> int:
+    """Number of leading passes two runs share: same element `_ident`, same
+    photon index, same clean flag."""
+    depth = 0
+    for (elem, idx, clean), (elem2, idx2, clean2) in zip(run, other):
+        if idx != idx2 or clean != clean2 or elem._ident != elem2._ident:
+            break
+        depth += 1
+    return depth
+
+
+def _evaluate(runs: list, state, wrap_guard):
+    """Yield the amplitudes each run of passes leaves on `state`, run by run
+    in the order given; a pass is (element, photon index, clean), the
+    arguments `_apply_pass` takes.  This is the one loop that applies
+    elements.
+
+    Each run starts from the longest prefix it shares with the run before
+    it.  Callers list the runs that share a prefix together, so this walks
+    the runs' prefix tree depth first and applies each common prefix once.
+    A state is kept only at a depth where a later run branches off.  Every
+    pass runs on the same input, in the same order, as when each run is
+    applied on its own, so every result, and the first error raised, is the
+    same bit for bit.
+    """
+    k = state.truncation
+    starts = [0, *map(_shared_depth, runs, runs[1:])]
+    kept = {0: state.amplitudes}
+    for i, run in enumerate(runs):
+        start, later = starts[i], starts[i + 1:]
+        amps = kept[start]
+        kept = {depth: kept[depth] for depth in later if depth <= start}
+        for depth, (elem, idx, clean) in enumerate(run[start:], start + 1):
+            amps = _apply_pass(elem, amps, k, idx, wrap_guard, clean)
+            if depth in later:
+                kept[depth] = amps
+        yield amps
+
+
 def _evolve(elements, state, slot, wrap_guard):
-    """Apply `elements` in order to the raw amplitudes of `state`.
+    """Apply `elements` in order to the raw amplitudes of `state`, as one run
+    of `_evaluate`.
 
     Each element's last pass leaves the amplitudes cleaned exactly as the
     state constructor cleans them (see `_apply_pass`), so the result equals
@@ -365,13 +411,9 @@ def _evolve(elements, state, slot, wrap_guard):
         idxs = (0, 1) if slot == "both" else (slot - 1,)
     else:
         raise TypeError(f"cannot apply element to {type(state).__name__}")
-    k = state.truncation
-    amps = state.amplitudes if elements else dict(state.amplitudes)
-    last = idxs[-1]
-    for elem in elements:
-        for idx in idxs:
-            amps = _apply_pass(elem, amps, k, idx, wrap_guard, idx == last)
-    return type(state)._from_clean(amps, k)
+    run = [(elem, idx, idx == idxs[-1]) for elem in elements for idx in idxs]
+    amps = next(_evaluate([run], state, wrap_guard))
+    return type(state)._from_clean(amps if run else dict(amps), state.truncation)
 
 
 def apply_element(elem: Element, state, slot="both", wrap_guard=WRAP_GUARD):
@@ -407,19 +449,19 @@ def apply_circuit(circuit: Circuit, state, slot="both", wrap_guard=WRAP_GUARD):
     return _evolve(circuit.elements, state, slot, wrap_guard)
 
 
-def _path_probs(state: PhotonState, paths) -> dict[str, float]:
+def _path_probs(amps: dict, paths) -> dict[str, float]:
     """Click probability per path in `paths`, in one left-to-right pass."""
     probs = dict.fromkeys(paths, 0.0)
-    for key, amp in state.amplitudes.items():
+    for key, amp in amps.items():
         if key.path in probs:
             probs[key.path] += abs(amp) ** 2
     return probs
 
 
-def _pair_probs(state: TwoPhotonState, paths1, paths2) -> dict[tuple[str, str], float]:
+def _pair_probs(amps: dict, paths1, paths2) -> dict[tuple[str, str], float]:
     """Coincidence probability per (path1, path2), in one left-to-right pass."""
     probs = {(a, b): 0.0 for a in paths1 for b in paths2}
-    for (k1, k2), amp in state.amplitudes.items():
+    for (k1, k2), amp in amps.items():
         key = (k1.path, k2.path)
         if key in probs:
             probs[key] += abs(amp) ** 2
@@ -434,7 +476,7 @@ def detect(state: PhotonState, path: str) -> float:
     """
     if not isinstance(path, str):
         raise TypeError(f"path label must be a string, got {path!r}")
-    return _path_probs(state, (path,))[path]
+    return _path_probs(state.amplitudes, (path,))[path]
 
 
 def coincidence_detect(state: TwoPhotonState, path1: str, path2: str) -> float:
@@ -442,25 +484,45 @@ def coincidence_detect(state: TwoPhotonState, path1: str, path2: str) -> float:
     detect, only non-string path labels are rejected."""
     if not (isinstance(path1, str) and isinstance(path2, str)):
         raise TypeError(f"path labels must be strings, got {path1!r} and {path2!r}")
-    return _pair_probs(state, (path1,), (path2,))[path1, path2]
+    return _pair_probs(state.amplitudes, (path1,), (path2,))[path1, path2]
+
+
+def readouts(circuits, state: PhotonState, wrap_guard=WRAP_GUARD):
+    """Send one photon through each of `circuits`; an iterator that computes,
+    circuit by circuit, the click probability per detector path, each equal
+    to detect(out, path).  Shared prefixes run once (see `_evaluate`)."""
+    if not isinstance(state, PhotonState):
+        raise TypeError(f"cannot send {type(state).__name__} through a one-photon readout")
+    circuits = list(circuits)
+    runs = [[(elem, None, True) for elem in c.elements] for c in circuits]
+    return map(_path_probs, _evaluate(runs, state, wrap_guard),
+               [c.detector_paths for c in circuits])
+
+
+def joint_readouts(pairs, state: TwoPhotonState, wrap_guard=WRAP_GUARD):
+    """Send photon 1 through circuit1 and photon 2 through circuit2 of each
+    pair; an iterator that computes, pair by pair, the coincidence
+    probability per pair of detector paths, each equal to
+    coincidence_detect(out, path1, path2).  Shared prefixes run once."""
+    if not isinstance(state, TwoPhotonState):
+        raise TypeError(f"cannot send {type(state).__name__} through a joint readout")
+    pairs = list(pairs)
+    runs = [[(elem, 0, True) for elem in c1.elements] + [(elem, 1, True) for elem in c2.elements]
+            for c1, c2 in pairs]
+    return map(_pair_probs, _evaluate(runs, state, wrap_guard),
+               [c1.detector_paths for c1, _ in pairs], [c2.detector_paths for _, c2 in pairs])
 
 
 def readout(circuit: Circuit, state: PhotonState,
             wrap_guard=WRAP_GUARD) -> dict[str, float]:
-    """Send one photon through `circuit`; click probability per detector
-    path, each equal to detect(out, path)."""
-    return _path_probs(apply_circuit(circuit, state, wrap_guard=wrap_guard),
-                       circuit.detector_paths)
+    """`readouts` of the one circuit."""
+    return next(readouts((circuit,), state, wrap_guard))
 
 
 def joint_readout(circuit1: Circuit, circuit2: Circuit, pair: TwoPhotonState,
                   wrap_guard=WRAP_GUARD) -> dict[tuple[str, str], float]:
-    """Photon 1 through `circuit1`, photon 2 through `circuit2`; coincidence
-    probability per pair of detector paths, each equal to
-    coincidence_detect(out, path1, path2)."""
-    out = apply_circuit(circuit1, pair, slot=1, wrap_guard=wrap_guard)
-    out = apply_circuit(circuit2, out, slot=2, wrap_guard=wrap_guard)
-    return _pair_probs(out, circuit1.detector_paths, circuit2.detector_paths)
+    """`joint_readouts` of the one circuit pair."""
+    return next(joint_readouts(((circuit1, circuit2),), pair, wrap_guard))
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,8 @@ class SourceSpec:
     def __post_init__(self):
         object.__setattr__(self, "pump_order", _whole(self.pump_order, "pump order"))
         object.__setattr__(self, "truncation", _band(self.truncation))
+        if not isinstance(self.spectrum, SpectrumModel):
+            raise TypeError(f"spectrum must be a SpectrumModel, got {self.spectrum!r}")
         if self.pump_order not in (0, 1):
             raise ValueError("pump_order must be 0 (Gaussian) or 1 (vortex)")
         if self.polarization_mode not in (PRODUCT_HH, BELL_PHI_PLUS):

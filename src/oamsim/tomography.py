@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import build_s2_setup, build_s3_setup, build_sorter, readout
+from .elements import build_s2_setup, build_s3_setup, build_sorter, readouts
 from .hilbert import PhotonState
 
 __all__ = [
@@ -67,9 +67,10 @@ SETUPS = {"sorter": build_sorter, "s2_setup": build_s2_setup, "s3_setup": build_
 
 
 def intensities(state: PhotonState) -> dict[str, dict[str, float]]:
-    """Setup name -> {detector path: intensity}; the state must be normalized."""
+    """Setup name -> {detector path: intensity}; the state must be normalized.
+    The sorter's elements, which all three setups start with, run once."""
     state.require_normalized()
-    return {name: readout(build(), state) for name, build in SETUPS.items()}
+    return dict(zip(SETUPS, readouts([build() for build in SETUPS.values()], state)))
 
 
 def stokes_from_intensities(table: dict[str, dict[str, float]]) -> StokesVector:

@@ -20,7 +20,9 @@ from oamsim.bell import (
     task_rng,
 )
 from oamsim.elements import (
+    WRAP_GUARD,
     Circuit,
+    apply_circuit,
     beam_splitter,
     dove_prism,
     half_wave_plate,
@@ -30,6 +32,9 @@ from oamsim.elements import (
     spiral_phase_plate,
 )
 from oamsim.hilbert import H, V, PhotonState, TwoPhotonState, _whole, mode
+from oamsim.soba import BITS_MESSAGE, DETECTOR_LABELS, DenseCodingResult, MESSAGE_BITS, \
+    build_soba, encode_polarization_bell, hbsa_decode
+from oamsim.sources import canonical_pair_spectrum, hyper_source
 
 
 # Around the prune threshold: zeros, below PRUNE_EPS / 2, between
@@ -188,3 +193,61 @@ def reference_ekert_run(s: TwoPhotonState, rounds: int, seed: int,
         matched_rounds=int(matched.sum()),
         chsh_rounds=int(sum(c.sum() for c in chsh_counts)),
     )
+
+
+def reference_readout(circuit: Circuit, state: PhotonState,
+                      wrap_guard=WRAP_GUARD) -> dict[str, float]:
+    """elements.readout as it was before the shared-prefix evaluator: the
+    whole circuit applied by apply_circuit, then one left-to-right pass per
+    detector path."""
+    out = apply_circuit(circuit, state, wrap_guard=wrap_guard)
+    probs = dict.fromkeys(circuit.detector_paths, 0.0)
+    for key, amp in out.amplitudes.items():
+        if key.path in probs:
+            probs[key.path] += abs(amp) ** 2
+    return probs
+
+
+def reference_joint_readout(circuit1: Circuit, circuit2: Circuit, pair: TwoPhotonState,
+                            wrap_guard=WRAP_GUARD) -> dict[tuple[str, str], float]:
+    """elements.joint_readout as it was before the shared-prefix evaluator:
+    circuit1 on photon 1 and circuit2 on photon 2 by apply_circuit, then
+    one left-to-right pass per pair of detector paths."""
+    out = apply_circuit(circuit1, pair, slot=1, wrap_guard=wrap_guard)
+    out = apply_circuit(circuit2, out, slot=2, wrap_guard=wrap_guard)
+    probs = {(a, b): 0.0 for a in circuit1.detector_paths for b in circuit2.detector_paths}
+    for (k1, k2), amp in out.amplitudes.items():
+        key = (k1.path, k2.path)
+        if key in probs:
+            probs[key] += abs(amp) ** 2
+    return probs
+
+
+def reference_dense_coding_roundtrip(message: str, shots: int = 0, seed: int | None = None,
+                                     truncation: int = 8, spectrum=None) -> DenseCodingResult:
+    """soba.dense_coding_roundtrip as it was before the channel cache: the
+    pair built, encoded and analyzed on every call, and every detector pair
+    decoded through hbsa_decode."""
+    def message_of(pair):
+        return MESSAGE_BITS[hbsa_decode(DETECTOR_LABELS[pair[0]], DETECTOR_LABELS[pair[1]])]
+
+    def decode(weights):
+        out = {bits: 0.0 for bits in BITS_MESSAGE}
+        for pair, w in weights.items():
+            out[message_of(pair)] += w
+        return out
+
+    label = BITS_MESSAGE[message]
+    spectrum = spectrum if spectrum is not None else canonical_pair_spectrum()
+    encoded = encode_polarization_bell(hyper_source(spectrum, truncation), label)
+    pair_probs = reference_joint_readout(build_soba(), build_soba(), encoded)
+    if shots <= 0:
+        message_probs = decode(pair_probs)
+        return DenseCodingResult(message, label, message_probs, pair_probs,
+                                 accuracy=message_probs[message])
+    keys = sorted(pair_probs)
+    draws = task_rng(seed, 3).multinomial(shots, _clean_probs([pair_probs[k] for k in keys]))
+    counts = {k: int(n) for k, n in zip(keys, draws) if n}
+    correct = sum(n for k, n in counts.items() if message_of(k) == message)
+    return DenseCodingResult(message, label, decode({k: n / shots for k, n in counts.items()}),
+                             pair_probs, accuracy=correct / shots, counts=counts)

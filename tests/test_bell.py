@@ -352,3 +352,28 @@ def test_a_non_finite_angle_is_rejected_by_its_own_name(variant, angle):
     for name, call in calls:
         with pytest.raises(ValueError, match=f"projection angle {name} must be finite, got {angle}$"):
             call()
+
+
+@pytest.mark.parametrize("shots,error", [(-3, "shots must be >= 0, got -3"),
+                                         ("abc", "shots must be an integer, got 'abc'"),
+                                         (2.5, "shots must be an integer, got 2.5")])
+def test_shots_are_read_once_before_any_circuit_work(monkeypatch, shots, error):
+    """A negative or non-whole count is named before a source or a circuit is
+    touched; -3 used to return the analytic result and "abc" a TypeError."""
+    from oamsim import elements, soba
+    monkeypatch.setattr(elements, "_apply_pass", lambda *args: pytest.fail("a pass ran"))
+    monkeypatch.setattr(soba, "spdc", lambda *args: pytest.fail("a source was built"))
+    pair = vortex_state(4)
+    for call in (lambda: coincidence(pair, 0.0, 0.3, shots=shots, seed=1),
+                 lambda: chsh(pair, *MAX_SETTINGS, shots=shots, seed=1),
+                 lambda: dense_coding_roundtrip("01", shots=shots, seed=1)):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            call()
+
+
+def test_a_whole_float_shot_count_samples_as_its_int():
+    pair = vortex_state(4)
+    assert chsh(pair, *MAX_SETTINGS, shots=100.0, seed=2) == \
+        chsh(pair, *MAX_SETTINGS, shots=100, seed=2)
+    assert coincidence(pair, 0.1, 0.2, shots="50", seed=2) == \
+        coincidence(pair, 0.1, 0.2, shots=50, seed=2)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oamsim import elements, hilbert
+from oamsim import bell, elements, hilbert, tomography
 from oamsim.elements import (
     ACTION_CACHE_SIZE,
     ROWS_CACHE_SIZE,
@@ -36,10 +36,12 @@ from oamsim.elements import (
     element_matrix,
     half_wave_plate,
     joint_readout,
+    joint_readouts,
     mirror,
     phase_delay,
     polarizing_bs,
     readout,
+    readouts,
     spiral_phase_plate,
 )
 from oamsim.hilbert import (
@@ -49,11 +51,13 @@ from oamsim.hilbert import (
     V,
     ModeBasis,
     PhotonState,
+    SpectrumModel,
     TruncationError,
     TwoPhotonState,
     mode,
 )
 from oamsim.soba import build_soba
+from oamsim.sources import PRODUCT_HH, SourceSpec, spdc
 from helpers import (
     AT_PRUNE_EPS,
     EDGE_VALUES,
@@ -63,6 +67,8 @@ from helpers import (
     random_full_state,
     random_oam_state,
     random_two_photon,
+    reference_joint_readout,
+    reference_readout,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -529,6 +535,124 @@ class TestReadout:
         pair = TwoPhotonState({(mode(0), mode(2)): 1.0}, 2)
         with pytest.raises(WrapGuardError):
             joint_readout(build_sorter(), build_s2_setup(), pair)
+
+
+SPECTRA = {"uniform": SpectrumModel.uniform(), "gaussian:2": SpectrumModel.gaussian(2.0),
+           "complex": SpectrumModel.explicit({0: 0.6, 1: 0.3 + 0.4j})}
+
+
+def settings_grid(rng, variant):
+    """A CHSH grid of four (Alice, Bob) projection pairs at random angles,
+    listed as chsh lists them, then the key exchange's nine."""
+    t, t2, c, c2 = rng.uniform(0.0, math.pi, size=4)
+    chsh_grid = ((t, c), (t, c2), (t2, c), (t2, c2))
+    key_grid = [(a, b) for a in bell.ALICE_KEY_ANGLES for b in bell.BOB_KEY_ANGLES]
+    return [[(build_projection(a, variant), build_projection(bell._bob_angle(b), variant))
+             for a, b in grid] for grid in (chsh_grid, key_grid)]
+
+
+class TestSharedPrefix:
+    """readouts/joint_readouts equal one reference readout per circuit, bit
+    for bit, and raise the error the per-circuit order raises first."""
+
+    @pytest.mark.parametrize("variant", ["tunable_bs", "polarization"])
+    @pytest.mark.parametrize("spectrum", sorted(SPECTRA))
+    @pytest.mark.parametrize("k", [1, 8, 64])
+    def test_pairs_equal_the_per_pair_readouts(self, variant, spectrum, k):
+        rng = np.random.default_rng([500, k, len(spectrum), len(variant)])
+        pair = spdc(SourceSpec(1, SPECTRA[spectrum], PRODUCT_HH, k))
+        for pairs in settings_grid(rng, variant):
+            want = [reference_joint_readout(c1, c2, pair) for c1, c2 in pairs]
+            assert repr(list(joint_readouts(pairs, pair))) == repr(want)
+
+    @pytest.mark.parametrize("variant", ["tunable_bs", "polarization"])
+    @pytest.mark.parametrize("k", [1, 8, 64])
+    def test_chsh_tables_equal_the_per_pair_readouts(self, variant, k):
+        rng = np.random.default_rng([510, k, len(variant)])
+        for spectrum in SPECTRA.values():
+            pair = spdc(SourceSpec(1, spectrum, PRODUCT_HH, k))
+            t, t2, c, c2 = (float(x) for x in rng.uniform(0.0, math.pi, size=4))
+            tables = bell.chsh(pair, t, t2, c, c2, variant=variant).tables
+            for tab, (a, b) in zip(tables, ((t, c), (t, c2), (t2, c), (t2, c2))):
+                want = reference_joint_readout(build_projection(a, variant),
+                                               build_projection(bell._bob_angle(b), variant),
+                                               pair)
+                assert repr((tab.d13, tab.d14, tab.d23, tab.d24)) == repr(tuple(want.values()))
+
+    @pytest.mark.parametrize("k", [1, 8, 64])
+    def test_one_photon_equals_the_per_circuit_readouts(self, k):
+        rng = np.random.default_rng([520, k])
+        state = random_oam_state(rng, k, modes=range(-k + 1, k - 1) if k > 1 else (0,))
+        angles = rng.uniform(0.0, math.pi, size=2)
+        circuits = [build_sorter(), build_s2_setup(), build_s3_setup(),
+                    *(build_projection(a, v) for a in angles
+                      for v in ("tunable_bs", "polarization"))]
+        want = [reference_readout(c, state) for c in circuits]
+        assert repr(list(readouts(circuits, state))) == repr(want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tomography_equals_one_readout_per_setup(self, seed):
+        rng = np.random.default_rng(530 + seed)
+        state = random_oam_state(rng, 8, modes=range(-6, 6))
+        want = {name: reference_readout(build(), state)
+                for name, build in tomography.SETUPS.items()}
+        assert repr(tomography.intensities(state)) == repr(want)
+
+    def test_wrap_guard_raises_as_the_per_circuit_order(self):
+        # m = 2 at K = 2: the sorter passes it, the analyzers' +1 plate wraps it.
+        state = PhotonState({mode(2): 0.6, mode(-1): 0.8}, 2)
+        circuits = [build_sorter(), build_s2_setup(), build_s3_setup()]
+        with pytest.raises(WrapGuardError) as want:
+            [reference_readout(c, state) for c in circuits]
+        with pytest.raises(WrapGuardError, match=f"^{want.value}$"):
+            list(readouts(circuits, state))
+        pair = TwoPhotonState({(mode(0), mode(2)): 0.6, (mode(1), mode(-2)): 0.8}, 2)
+        pairs = [(build_projection(a), build_projection(b))
+                 for a in (0.1, 0.2) for b in (0.3, 0.4)]
+        with pytest.raises(WrapGuardError) as want:
+            [reference_joint_readout(c1, c2, pair) for c1, c2 in pairs]
+        with pytest.raises(WrapGuardError, match=f"^{want.value}$"):
+            list(joint_readouts(pairs, pair))
+
+    def test_the_first_error_is_the_listed_order_s_not_the_tree_s(self):
+        """A circuit listed between two that share a prefix runs before the
+        second of them, so its error, not the second's, is raised."""
+        state = PhotonState({mode(2): 0.6, mode(-2): 0.8}, 2)
+        shared = mirror("in", "a")
+        first = Circuit("first", (shared, mirror("a", "b")), "in", ("b",))
+        between = Circuit("between", (spiral_phase_plate("in", -1),), "in", ("in",))
+        second = Circuit("second", (shared, spiral_phase_plate("a", +1)), "in", ("a",))
+        with pytest.raises(WrapGuardError, match="6.400e-01"):
+            list(readouts([first, between, second], state))
+        with pytest.raises(WrapGuardError, match="3.600e-01"):
+            list(readouts([first, second, between], state))
+
+    def test_each_shared_pass_runs_once(self, monkeypatch):
+        passes = []
+        apply_pass = elements._apply_pass
+        monkeypatch.setattr(elements, "_apply_pass",
+                            lambda *args: passes.append(args[0]) or apply_pass(*args))
+        pair = spdc(SourceSpec(1, SpectrumModel.uniform(), PRODUCT_HH, 8))
+        for variant, want in (("tunable_bs", 18), ("polarization", 30)):
+            passes.clear()
+            bell.chsh(pair, 0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8, variant=variant)
+            assert len(passes) == want  # 40 and 64 one pair at a time
+        passes.clear()
+        bell.ekert_run(pair, 1000, 1)
+        assert len(passes) == 28  # 90 one pair at a time
+        passes.clear()
+        tomography.intensities(PhotonState({mode(0): SQ2, mode(1): SQ2}, 8))
+        assert len(passes) == 7  # 14 one setup at a time
+
+    def test_a_state_of_the_wrong_photon_count_is_rejected(self):
+        single = PhotonState({mode(0): 1.0}, 2)
+        pair = TwoPhotonState({(mode(0), mode(1)): 1.0}, 2)
+        with pytest.raises(TypeError, match="TwoPhotonState"):
+            readouts([build_sorter()], pair)
+        with pytest.raises(TypeError, match="PhotonState"):
+            joint_readouts([(build_sorter(), build_sorter())], single)
+        assert list(readouts([], single)) == []
+        assert readout(Circuit("none", (), "in", ("in",)), single) == {"in": 1.0}
 
 
 class TestDetectors:

@@ -46,7 +46,8 @@ from oamsim.sources import (
     normalize_spin_orbit_label,
     prepare_single_photon_bell,
 )
-from helpers import random_full_state, random_two_photon
+from oamsim import soba
+from helpers import random_full_state, random_two_photon, reference_dense_coding_roundtrip
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SPIN_LABELS = ("psi+", "psi-", "phi+", "phi-")
@@ -307,6 +308,71 @@ class TestDenseCoding:
     def test_bit_assignment_fixed(self):
         assert MESSAGE_BITS == {"Psi+": "00", "Psi-": "01",
                                 "Phi+": "10", "Phi-": "11"}
+
+
+def result_repr(result) -> str:
+    """Every field of a DenseCodingResult, pair_probs and counts included."""
+    return repr((result.sent, result.label, result.message_probs, result.pair_probs,
+                 result.accuracy, result.counts))
+
+
+CHANNEL_SPECTRA = {"canonical": None, "uniform": SpectrumModel.uniform(),
+                   "asymmetric": SpectrumModel.explicit({0: 0.8, 1: 0.36 + 0.48j})}
+
+
+class TestChannelCache:
+    """The exact channel is computed once per (message, K, spectrum) and
+    every call sees it as a fresh computation would."""
+
+    @pytest.mark.parametrize("spectrum", sorted(CHANNEL_SPECTRA))
+    @pytest.mark.parametrize("k", [1, 8])
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_equals_a_fresh_computation(self, spectrum, k, shots):
+        soba._channel_entry.cache_clear()
+        for message in sorted(BITS_MESSAGE):
+            kwargs = dict(shots=shots, seed=11 if shots else None, truncation=k,
+                          spectrum=CHANNEL_SPECTRA[spectrum])
+            want = result_repr(reference_dense_coding_roundtrip(message, **kwargs))
+            assert result_repr(dense_coding_roundtrip(message, **kwargs)) == want  # computed
+            assert result_repr(dense_coding_roundtrip(message, **kwargs)) == want  # cached
+        assert soba._channel_entry.cache_info().currsize == len(BITS_MESSAGE)
+
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_a_returned_dict_is_the_caller_s_own(self, shots):
+        seed = 5 if shots else None
+        first = dense_coding_roundtrip("11", shots=shots, seed=seed)
+        want = result_repr(first)
+        first.pair_probs.clear()
+        first.message_probs["11"] = -1.0
+        first.pair_probs[("D1", "D1")] = 2.0
+        assert result_repr(dense_coding_roundtrip("11", shots=shots, seed=seed)) == want
+
+    def test_spectra_that_are_equal_but_differ_in_bits_get_their_own_entries(self):
+        minus, plus = (SpectrumModel.explicit({0: zero, 1: 1.0}) for zero in (-0.0, 0.0))
+        assert minus == plus and repr(minus) != repr(plus)
+        soba._channel_entry.cache_clear()
+        dense_coding_roundtrip("00", spectrum=minus)
+        dense_coding_roundtrip("00", spectrum=plus)
+        assert soba._channel_entry.cache_info().currsize == 2
+        dense_coding_roundtrip("00", spectrum=plus)
+        assert soba._channel_entry.cache_info().hits == 1
+
+    def test_the_sampled_draw_stays_per_call(self):
+        draws = {tuple(dense_coding_roundtrip("10", shots=100, seed=seed).counts.items())
+                 for seed in range(5)}
+        assert len(draws) > 1
+
+    @pytest.mark.parametrize("spectrum", ["x", 3, SpectrumModel], ids=repr)
+    def test_a_spectrum_that_is_no_model_is_named_before_the_cache(self, spectrum):
+        before = soba._channel_entry.cache_info()
+        with pytest.raises(TypeError, match="spectrum must be a SpectrumModel"):
+            dense_coding_roundtrip("00", spectrum=spectrum)
+        assert soba._channel_entry.cache_info() == before
+
+    def test_the_decode_table_is_hbsa_decode(self):
+        for (d1, d2), bits in soba._PAIR_MESSAGE.items():
+            assert bits == MESSAGE_BITS[hbsa_decode(DETECTOR_LABELS[d1], DETECTOR_LABELS[d2])]
+        assert len(soba._PAIR_MESSAGE) == 16
 
 
 class TestBellLabels:

@@ -56,6 +56,15 @@ def test_source_spec_reads_its_whole_numbers_by_the_one_rule(pump, truncation, e
         SourceSpec(pump, SpectrumModel.uniform(), PRODUCT_HH, truncation)
 
 
+@pytest.mark.parametrize("spectrum", ["x", None, 3, {"kind": "uniform"}], ids=repr)
+def test_source_spec_rejects_a_spectrum_that_is_no_spectrum_model(spectrum):
+    """Named when the spec is built, not as an AttributeError from spdc."""
+    with pytest.raises(TypeError, match=f"spectrum must be a SpectrumModel, got {spectrum!r}"):
+        SourceSpec(1, spectrum, PRODUCT_HH, 8)
+    with pytest.raises(TypeError, match="spectrum must be a SpectrumModel"):
+        hyper_source(spectrum, 8)
+
+
 @pytest.mark.parametrize("pump,truncation", [("1", 8), (1, "8"), (1.0, 8.0),
                                              (np.int64(1), np.int64(8))], ids=repr)
 def test_source_spec_keeps_the_ints_it_reads(pump, truncation):

@@ -173,12 +173,17 @@ def _decode(weights: dict) -> dict[str, float]:
 
 
 # Exact channels, one per (Bell label, source spec by repr), of the most
-# recently used round trips: the default source takes 4 entries, one per
-# message, and each other (K, spectrum) 4 more.  Measured on 2 cores (Python
-# 3.11) at K = 8: a miss took 164 us with the default spectrum (603 us with
-# the uniform one) and a hit 12 us; an entry holds 3.5 kB, so 64 entries, 16
-# sources, stay under 0.25 MB.
-CHANNEL_CACHE_SIZE = 64
+# recently used round trips.  Keeping them pays only where one process calls
+# again with the same (message, K, spectrum).  The qubit-batch workload does:
+# it uses the default source (K = 8, canonical spectrum) and its 4 messages,
+# so 4 calls miss and every later one hits (1,997 hits of 2,001 calls over
+# its set-up and 2,000 operations at seed 3).  A CLI `densecode` makes one
+# call per process and always misses.  No caller uses a second source, so the
+# cache holds that source's 4 entries; a caller cycling over more sources
+# recomputes every channel.  Measured on 2 cores (Python 3.11) at K = 8: a
+# miss took 164 us with the default spectrum (603 us with the uniform one),
+# a hit 12 us; an entry holds 3.5 kB.
+CHANNEL_CACHE_SIZE = 4
 
 
 @functools.lru_cache(maxsize=CHANNEL_CACHE_SIZE)
@@ -189,10 +194,11 @@ def _channel_entry(key: tuple) -> list:
 def _channel(label: str, spec: SourceSpec) -> tuple[tuple, tuple]:
     """The analytic round trip of `label` over the hyperentangled pair of
     `spec`: (detector pair, probability) and (message bits, probability)
-    items, computed once per label and spec.  The spec is keyed by its
-    repr, as an element's parameters are in the action cache, so spectra
-    that are == but differ in their bits (0.0 and -0.0) never share an
-    entry; the items are tuples, so no caller can change them."""
+    items, kept for the CHANNEL_CACHE_SIZE most recent label and spec
+    pairs.  The spec is keyed by its repr, as an element's parameters are
+    in the action cache, so spectra that are == but differ in their bits
+    (0.0 and -0.0) never share an entry; the items are tuples, so no caller
+    can change them."""
     entry = _channel_entry((label, repr(spec)))
     if not entry:
         pair_probs = joint_soba(encode_polarization_bell(spdc(spec), label))
@@ -219,9 +225,10 @@ def dense_coding_roundtrip(message: str, shots: int = 0, seed: int | None = None
     """Hyperentangled pair -> polarization encoding -> local analyzers -> decode.
 
     Analytic mode returns the exact decode distribution; sampled mode draws
-    detector pairs from one seeded multinomial.  The exact channel is
-    computed once per (message, K, spectrum) and kept (see `_channel`);
-    each call gets its own dicts and its own draw.
+    detector pairs from one seeded multinomial.  The exact channels of the
+    most recent (message, K, spectrum) are kept (see `_channel`), which pays
+    only when a process repeats one; each call gets its own dicts and its
+    own draw.
     """
     if message not in BITS_MESSAGE:
         raise ValueError(f"message must be two bits 00..11, got {message!r}")

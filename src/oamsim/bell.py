@@ -126,11 +126,6 @@ def _joint_grid(s: TwoPhotonState, settings, variant: str):
     return (tuple(probs.values()) for probs in joint_readouts(pairs, s))
 
 
-def _joint_probs(s: TwoPhotonState, theta: float, chi: float, variant: str):
-    """Joint detector probabilities (d13, d14, d23, d24) at one setting pair."""
-    return next(_joint_grid(s, ((theta, chi),), variant))
-
-
 def projector_coincidence(s: TwoPhotonState, theta: float, chi: float):
     """Direct projector contraction <Psi| P_theta (x) P_chi |Psi> and partners.
 
@@ -257,7 +252,7 @@ def coincidence(s: TwoPhotonState, theta: float, chi: float,
                 seed: int | None = None) -> CoincidenceTable:
     """Coincidence table at one setting pair; shots > 0 samples a multinomial."""
     shots = _shots(shots)
-    return _table(theta, chi, _joint_probs(s, theta, chi, variant), shots, seed, 2)
+    return _table(theta, chi, next(_joint_grid(s, ((theta, chi),), variant)), shots, seed, 2)
 
 
 @dataclass(frozen=True)

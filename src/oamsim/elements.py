@@ -13,7 +13,8 @@ Conventions (fixed package-wide):
     reflection phases are dropped globally);
   * the spin-orbit gates "oc_p" (OAM-parity controlled polarization NOT)
     and "pc_o" (polarization controlled parity NOT) permute the modes on
-    each of their paths, with the same cyclic m shift and guard.
+    each of their paths, with the same cyclic m shift and guard;
+    `oc_p_gate` and `pc_o_gate` place one on every path of a photon.
 
 Elements and circuits are immutable; application is a pure function.  What
 an element does to each basis mode is computed once per (element, K) and
@@ -24,6 +25,7 @@ and cleans in the same loop; a mixer sums, then is cleaned.  Every
 application runs through one loop, `_evaluate`: `apply_element` and
 `apply_circuit` as one run of passes, `readouts` and `joint_readouts` as a
 list of runs, each pass prefix that consecutive runs share applied once.
+Every entry point guards at WRAP_GUARD; only `apply_circuit` can switch it off.
 
 The dense oracle reads neither `_key_action` nor that cache: `_band_rules`
 states each element's action a second time, as rules on whole (path, pol)
@@ -90,6 +92,8 @@ __all__ = [
     "mirror",
     "Circuit",
     "apply_element",
+    "oc_p_gate",
+    "pc_o_gate",
     "apply_circuit",
     "detect",
     "coincidence_detect",
@@ -332,7 +336,9 @@ def _apply_pass(elem: Element, amps: dict, truncation: int, idx, wrap_guard,
     wrapped_weight = 0.0
     for key, amp in amps.items():
         mode_key = key if idx is None else key[idx]
-        action = table.get(mode_key) or _fill(table, elem, mode_key, truncation)
+        action = table.get(mode_key)
+        if action is None:
+            action = table[mode_key] = _key_action(elem, mode_key, truncation)
         for new_key, factor, wrapped in action:
             contrib = amp * factor
             if wrapped:
@@ -347,11 +353,6 @@ def _apply_pass(elem: Element, amps: dict, truncation: int, idx, wrap_guard,
         raise WrapGuardError(
             f"{elem.kind} moved weight {wrapped_weight:.3e} across the band edge")
     return _clean_amplitudes(out.items()) if clean and not once else out
-
-
-def _fill(table: dict, elem: Element, mode_key: ModeKey, truncation: int) -> list:
-    action = table[mode_key] = _key_action(elem, mode_key, truncation)
-    return action
 
 
 def _shared_depth(run: list, other: list) -> int:
@@ -416,9 +417,30 @@ def _evolve(elements, state, slot, wrap_guard):
     return type(state)._from_clean(amps if run else dict(amps), state.truncation)
 
 
-def apply_element(elem: Element, state, slot="both", wrap_guard=WRAP_GUARD):
+def apply_element(elem: Element, state, slot="both"):
     """Apply one element; only the addressed photon slot is transformed."""
-    return _evolve((elem,), state, slot, wrap_guard)
+    return _evolve((elem,), state, slot, WRAP_GUARD)
+
+
+def _gate(kind: str, state, slot: int):
+    """Gate element on every path the addressed photon occupies."""
+    if isinstance(state, TwoPhotonState):
+        paths = state.slot_paths(slot)
+    elif isinstance(state, PhotonState):
+        paths = state.paths()
+    else:
+        raise TypeError(f"cannot apply gate to {type(state).__name__}")
+    return apply_element(Element(kind, paths, paths), state, slot=slot)
+
+
+def oc_p_gate(state, slot: int = 1):
+    """OAM-parity controlled polarization NOT (flips parity alongside)."""
+    return _gate("oc_p", state, slot)
+
+
+def pc_o_gate(state, slot: int = 1):
+    """Polarization-controlled parity NOT: V triggers an order +1 spiral shift."""
+    return _gate("pc_o", state, slot)
 
 
 @dataclass(frozen=True)
@@ -439,6 +461,8 @@ class Circuit:
         for d in self.detector_paths:
             if d not in seen:
                 raise ValueError(f"detector path {d!r} not produced by any element")
+        if len(set(self.detector_paths)) != len(self.detector_paths):
+            raise ValueError(f"detector paths must be distinct, got {self.detector_paths!r}")
 
     def paths(self) -> tuple[str, ...]:
         """The input path, then every element path in first-use order."""
@@ -487,7 +511,7 @@ def coincidence_detect(state: TwoPhotonState, path1: str, path2: str) -> float:
     return _pair_probs(state.amplitudes, (path1,), (path2,))[path1, path2]
 
 
-def readouts(circuits, state: PhotonState, wrap_guard=WRAP_GUARD):
+def readouts(circuits, state: PhotonState):
     """Send one photon through each of `circuits`; an iterator that computes,
     circuit by circuit, the click probability per detector path, each equal
     to detect(out, path).  Shared prefixes run once (see `_evaluate`)."""
@@ -495,11 +519,11 @@ def readouts(circuits, state: PhotonState, wrap_guard=WRAP_GUARD):
         raise TypeError(f"cannot send {type(state).__name__} through a one-photon readout")
     circuits = list(circuits)
     runs = [[(elem, None, True) for elem in c.elements] for c in circuits]
-    return map(_path_probs, _evaluate(runs, state, wrap_guard),
+    return map(_path_probs, _evaluate(runs, state, WRAP_GUARD),
                [c.detector_paths for c in circuits])
 
 
-def joint_readouts(pairs, state: TwoPhotonState, wrap_guard=WRAP_GUARD):
+def joint_readouts(pairs, state: TwoPhotonState):
     """Send photon 1 through circuit1 and photon 2 through circuit2 of each
     pair; an iterator that computes, pair by pair, the coincidence
     probability per pair of detector paths, each equal to
@@ -509,20 +533,19 @@ def joint_readouts(pairs, state: TwoPhotonState, wrap_guard=WRAP_GUARD):
     pairs = list(pairs)
     runs = [[(elem, 0, True) for elem in c1.elements] + [(elem, 1, True) for elem in c2.elements]
             for c1, c2 in pairs]
-    return map(_pair_probs, _evaluate(runs, state, wrap_guard),
+    return map(_pair_probs, _evaluate(runs, state, WRAP_GUARD),
                [c1.detector_paths for c1, _ in pairs], [c2.detector_paths for _, c2 in pairs])
 
 
-def readout(circuit: Circuit, state: PhotonState,
-            wrap_guard=WRAP_GUARD) -> dict[str, float]:
+def readout(circuit: Circuit, state: PhotonState) -> dict[str, float]:
     """`readouts` of the one circuit."""
-    return next(readouts((circuit,), state, wrap_guard))
+    return next(readouts((circuit,), state))
 
 
-def joint_readout(circuit1: Circuit, circuit2: Circuit, pair: TwoPhotonState,
-                  wrap_guard=WRAP_GUARD) -> dict[tuple[str, str], float]:
+def joint_readout(circuit1: Circuit, circuit2: Circuit,
+                  pair: TwoPhotonState) -> dict[tuple[str, str], float]:
     """`joint_readouts` of the one circuit pair."""
-    return next(joint_readouts(((circuit1, circuit2),), pair, wrap_guard))
+    return next(joint_readouts(((circuit1, circuit2),), pair))
 
 
 # ---------------------------------------------------------------------------

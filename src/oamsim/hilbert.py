@@ -249,10 +249,9 @@ class PhotonState(_SparseState):
     _check = staticmethod(_check_single)
 
     @classmethod
-    def from_oam(cls, coeffs: Mapping[int, complex], truncation: int,
-                 pol: str = H, path: str = "in") -> "PhotonState":
-        """Build a state from OAM coefficients on a single path/polarization."""
-        return cls({mode(m, pol, path): c for m, c in coeffs.items()}, truncation)
+    def from_oam(cls, coeffs: Mapping[int, complex], truncation: int) -> "PhotonState":
+        """Build a state from OAM coefficients, H-polarized on path 'in'."""
+        return cls({mode(m): c for m, c in coeffs.items()}, truncation)
 
     def modes(self) -> Iterator[ModeKey]:
         """Every occupied mode."""
@@ -311,6 +310,8 @@ def parity_marginals(state: TwoPhotonState) -> dict[tuple[str, str], float]:
     Raises NormalizationError when the input norm deviates from 1 by more
     than NORM_CHECK_TOL.  The four entries always sum to the state norm.
     """
+    if not isinstance(state, TwoPhotonState):
+        raise TypeError(f"expected a TwoPhotonState, got {type(state).__name__}")
     state.require_normalized()
     table = dict.fromkeys(itertools.product((EVEN, ODD), repeat=2), 0.0)
     for (k1, k2), amp in state.amplitudes.items():

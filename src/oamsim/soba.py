@@ -1,4 +1,4 @@
-"""Spin-orbit gates, the spin-orbit Bell-state analyzer, and dense coding.
+"""The spin-orbit Bell-state analyzer and dense coding.
 
 The analyzer (an even/odd sorter feeding two polarizing splitters, two
 spiral plates and two recombining splitters) routes each of the four
@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from .bell import _shots, sample_counts
 from .elements import (
     Circuit,
-    Element,
-    apply_element,
     beam_splitter,
     half_wave_plate,
     joint_readout,
@@ -45,8 +43,6 @@ __all__ = [
     "MESSAGE_BITS",
     "BITS_MESSAGE",
     "DETECTOR_LABELS",
-    "oc_p_gate",
-    "pc_o_gate",
     "build_soba",
     "soba_route",
     "joint_soba",
@@ -64,27 +60,6 @@ DETECTOR_LABELS = {"D1": "psi+", "D2": "psi-", "D3": "phi-", "D4": "phi+"}
 
 def normalize_polarization_label(label: str) -> str:
     return _bell_label(label, POLARIZATION_LABELS, "polarization Bell")
-
-
-def _gate(kind: str, state, slot: int):
-    """Gate element on every path the addressed photon occupies."""
-    if isinstance(state, TwoPhotonState):
-        paths = state.slot_paths(slot)
-    elif isinstance(state, PhotonState):
-        paths = state.paths()
-    else:
-        raise TypeError(f"cannot apply gate to {type(state).__name__}")
-    return apply_element(Element(kind, paths, paths), state, slot=slot)
-
-
-def oc_p_gate(state, slot: int = 1):
-    """OAM-parity controlled polarization NOT (flips parity alongside)."""
-    return _gate("oc_p", state, slot)
-
-
-def pc_o_gate(state, slot: int = 1):
-    """Polarization-controlled parity NOT: V triggers an order +1 spiral shift."""
-    return _gate("pc_o", state, slot)
 
 
 @functools.cache
@@ -109,6 +84,8 @@ _CANONICAL_MS = (0, 1)
 
 def soba_route(state: PhotonState) -> dict[str, float]:
     """Detector probabilities for a single photon entering the analyzer."""
+    if not isinstance(state, PhotonState):
+        raise TypeError(f"expected a PhotonState, got {type(state).__name__}")
     for key in state.amplitudes:
         if key.path != "in" or key.m not in _CANONICAL_MS:
             raise ValueError(
@@ -129,6 +106,8 @@ def encode_polarization_bell(s: TwoPhotonState, label: str) -> TwoPhotonState:
     Phi+, Z gives Phi-, X gives Psi+, and X followed by Z gives Psi-.  The
     OAM factor is untouched.
     """
+    if not isinstance(s, TwoPhotonState):
+        raise TypeError(f"expected a TwoPhotonState, got {type(s).__name__}")
     label = normalize_polarization_label(label)
     flip = label in ("Psi+", "Psi-")
     sign = label in ("Phi-", "Psi-")

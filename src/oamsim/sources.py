@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .elements import oc_p_gate
 from .hilbert import (
     EVEN,
     H,
@@ -201,13 +202,13 @@ def hybrid_two_photon(s: TwoPhotonState) -> TwoPhotonState:
     The OAM-controlled polarization NOT gate on photon 1 leaves its OAM
     all-even and its polarization tracking photon 2's even/odd class.
     """
+    if not isinstance(s, TwoPhotonState):
+        raise TypeError(f"expected a TwoPhotonState, got {type(s).__name__}")
     for (k1, k2), _ in s.items():
         if k1.pol != H or k2.pol != H:
             raise ValueError("expected an all-H product-polarized input pair")
         if k1.m + k2.m != 1:
             raise ValueError("expected a first-order vortex-pump pair (m1 + m2 = 1)")
-    from .soba import oc_p_gate  # gates live with the analyzer machinery
-
     return oc_p_gate(s, slot=1)
 
 
@@ -237,11 +238,10 @@ def normalize_spin_orbit_label(label: str) -> str:
     return _bell_label(label, SPIN_ORBIT_STATES, "spin-orbit state")
 
 
-def prepare_single_photon_bell(label: str, truncation: int = 8,
-                               path: str = "in") -> PhotonState:
-    """One of the four spin-orbit Bell states at the canonical m values."""
+def prepare_single_photon_bell(label: str, truncation: int = 8) -> PhotonState:
+    """One of the four spin-orbit Bell states at the canonical m values, on path 'in'."""
     label = normalize_spin_orbit_label(label)
-    amps = {mode(m, pol, path): c for m, pol, c in SPIN_ORBIT_STATES[label]}
+    amps = {mode(m, pol): c for m, pol, c in SPIN_ORBIT_STATES[label]}
     return PhotonState(amps, truncation).normalized()
 
 
@@ -255,6 +255,8 @@ def postselect_partner(s: TwoPhotonState, measured_slot: int = 2,
     where each surviving partner mode is tied to a single measured mode; an
     ambiguous (mixed) herald raises instead of silently merging amplitudes.
     """
+    if not isinstance(s, TwoPhotonState):
+        raise TypeError(f"expected a TwoPhotonState, got {type(s).__name__}")
     if measured_slot not in (1, 2):
         raise ValueError("measured_slot must be 1 or 2")
     if parity_class not in (None, EVEN, ODD):

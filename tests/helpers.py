@@ -16,7 +16,7 @@ from oamsim.bell import (
     _chsh_b_sigma,
     _clean_probs,
     _e_value,
-    _joint_probs,
+    _joint_grid,
     task_rng,
 )
 from oamsim.elements import (
@@ -58,12 +58,13 @@ def random_oam_state(rng: np.random.Generator, truncation: int,
 
 
 def random_full_state(rng: np.random.Generator, truncation: int,
-                      paths=("in",)) -> PhotonState:
-    """Random state over every (path, pol, m) combination."""
+                      paths=("in",), margin: int = 0) -> PhotonState:
+    """Random state over every (path, pol, m) combination with |m| <= K - margin."""
+    band = truncation - margin
     amps = {}
     for p in paths:
         for pol in (H, V):
-            for m in range(-truncation, truncation + 1):
+            for m in range(-band, band + 1):
                 amps[mode(m, pol, p)] = complex(rng.normal(), rng.normal())
     return PhotonState(amps, truncation).normalized()
 
@@ -162,8 +163,8 @@ def reference_ekert_run(s: TwoPhotonState, rounds: int, seed: int,
             here = np.flatnonzero((a_idx == ai) & (b_idx == bi))
             if here.size == 0:
                 continue
-            probs = _clean_probs(_joint_probs(
-                s, ALICE_KEY_ANGLES[ai], BOB_KEY_ANGLES[bi], variant))
+            probs = _clean_probs(next(_joint_grid(
+                s, ((ALICE_KEY_ANGLES[ai], BOB_KEY_ANGLES[bi]),), variant)))
             draws = task_rng(seed, 1, ai, bi).choice(4, size=here.size, p=probs)
             outcome[here] = draws
             combo_counts[(ai, bi)] = np.bincount(draws, minlength=4)

@@ -21,7 +21,7 @@ from oamsim.bell import (
     sample_counts,
     task_rng,
     _bit_string,
-    _joint_probs,
+    _joint_grid,
 )
 from oamsim.elements import build_projection
 from oamsim.hilbert import DENSE_BYTES_LIMIT, PhotonState, SpectrumModel, mode
@@ -122,7 +122,7 @@ class TestCoincidence:
         state = vortex_state(truncation=8, spectrum=spectrum)
         theta = float(rng.uniform(0, math.pi))
         chi_ = float(rng.uniform(0, math.pi))
-        circ = _joint_probs(state, theta, chi_, "tunable_bs")
+        circ = next(_joint_grid(state, ((theta, chi_),), "tunable_bs"))
         direct = projector_coincidence(state, theta, chi_)
         for a, b in zip(circ, direct):
             assert a == pytest.approx(b, abs=1e-10)
@@ -134,7 +134,7 @@ class TestCoincidence:
         theta = float(rng.uniform(0, math.pi))
         marginals = []
         for chi_ in rng.uniform(0, math.pi, size=5):
-            d13, d14, _, _ = _joint_probs(state, theta, float(chi_), "tunable_bs")
+            d13, d14, _, _ = next(_joint_grid(state, ((theta, float(chi_)),), "tunable_bs"))
             marginals.append(d13 + d14)
         assert max(marginals) - min(marginals) < 1e-10
 

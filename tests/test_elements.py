@@ -3,6 +3,7 @@ import cmath
 import copy
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,8 @@ from oamsim.elements import (
     joint_readout,
     joint_readouts,
     mirror,
+    oc_p_gate,
+    pc_o_gate,
     phase_delay,
     polarizing_bs,
     readout,
@@ -57,7 +60,7 @@ from oamsim.hilbert import (
     mode,
 )
 from oamsim.soba import build_soba
-from oamsim.sources import PRODUCT_HH, SourceSpec, spdc
+from oamsim.sources import PRODUCT_HH, SourceSpec, canonical_pair_spectrum, hyper_source, spdc
 from helpers import (
     AT_PRUNE_EPS,
     EDGE_VALUES,
@@ -106,7 +109,8 @@ class TestSingleElements:
         with pytest.raises(WrapGuardError):
             apply_element(spiral_phase_plate("in", +1), s)
         # disabled guard wraps cyclically and preserves norm
-        out = apply_element(spiral_phase_plate("in", +1), s, wrap_guard=None)
+        plate = Circuit("plate", (spiral_phase_plate("in", +1),), "in", ())
+        out = apply_circuit(plate, s, wrap_guard=None)
         assert out.get(mode(-4)) == pytest.approx(1.0)
 
     def test_half_wave_plate_is_an_involution(self):
@@ -204,11 +208,10 @@ class TestSingleElements:
         rng = np.random.default_rng(140)
         single = random_full_state(rng, 2, paths=pool_paths())
         pair = random_pool_pair(rng, 2)
-        for state in (single, pair):
-            assert_bit_identical(apply_element(listed, state, wrap_guard=None),
-                                 apply_element(built, state, wrap_guard=None))
         one, other = (Circuit("one", (elem,), "p0", ()) for elem in (listed, built))
         for state in (single, pair):
+            assert_bit_identical(apply_circuit(one, state, wrap_guard=None),
+                                 apply_circuit(other, state, wrap_guard=None))
             assert_bit_identical(dense_apply(one, state), dense_apply(other, state))
         u, basis = circuit_unitary(one, 2)
         assert np.array_equal(u, circuit_unitary(other, 2)[0])
@@ -267,6 +270,120 @@ class TestSingleElements:
         for value in bad:
             with pytest.raises(ValueError):
                 factory("p", value)
+
+
+class TestGates:
+    def test_oc_p_branches(self):
+        out = oc_p_gate(PhotonState({mode(1, H): 1.0}, 4))
+        (key, amp), = out.amplitudes.items()
+        assert key.pol == V and key.m % 2 == 0 and amp == pytest.approx(1.0)
+
+        out = oc_p_gate(PhotonState({mode(0, H): 1.0}, 4))
+        assert out.get(mode(0, H)) == pytest.approx(1.0)
+
+        out = oc_p_gate(PhotonState({mode(0, V): 1.0}, 4))
+        (key, amp), = out.amplitudes.items()
+        assert key.pol == V and key.m % 2 == 1
+
+        out = oc_p_gate(PhotonState({mode(1, V): 1.0}, 4))
+        assert out.get(mode(1, H)) == pytest.approx(1.0)
+
+    def test_oc_p_parity_level_permutation_is_unitary(self):
+        # coarse-grain the action onto the (parity, polarization) square
+        labels = [("even", H), ("odd", H), ("even", V), ("odd", V)]
+        reps = {("even", H): mode(0, H), ("odd", H): mode(1, H),
+                ("even", V): mode(0, V), ("odd", V): mode(1, V)}
+        u = np.zeros((4, 4), dtype=complex)
+        for col, lab in enumerate(labels):
+            out = oc_p_gate(PhotonState({reps[lab]: 1.0}, 4))
+            for key, amp in out.amplitudes.items():
+                row = labels.index(("even" if key.m % 2 == 0 else "odd", key.pol))
+                u[row, col] += amp
+        assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
+
+    def test_pc_o_branches(self):
+        out = pc_o_gate(PhotonState({mode(0, V): 1.0}, 4))
+        assert out.get(mode(1, V)) == pytest.approx(1.0)
+        out = pc_o_gate(PhotonState({mode(0, H): 1.0}, 4))
+        assert out.get(mode(0, H)) == pytest.approx(1.0)
+
+    def test_pc_o_twice_restores_parity(self):
+        s = PhotonState({mode(0, V): SQ2, mode(1, H): SQ2}, 6)
+        out = pc_o_gate(pc_o_gate(s))
+        for key, amp in out.amplitudes.items():
+            if key.pol == V:
+                assert key.m % 2 == 0  # started even, flipped twice
+        assert abs(out.norm() - 1.0) < 1e-12
+
+    def test_wrap_guard_at_band_edge(self):
+        with pytest.raises(WrapGuardError):
+            pc_o_gate(PhotonState({mode(4, V): 1.0}, 4))
+        with pytest.raises(WrapGuardError):
+            oc_p_gate(PhotonState({mode(1, H): 1.0}, 1))
+
+
+def gate_circuit() -> Circuit:
+    """Two paths, both gates, and ordinary elements around them."""
+    return Circuit("gates", (
+        beam_splitter("in", "vac", "a", "b", t=0.6),
+        Element("oc_p", ("a", "b"), ("a", "b")),
+        spiral_phase_plate("a", -1),
+        half_wave_plate("b", 0.3),
+        Element("pc_o", ("a",), ("a",)),
+        Element("oc_p", ("b",), ("b",)),
+        beam_splitter("a", "b", "c", "d"),
+    ), "in", ())
+
+
+class TestGatesUnderTheDenseOracle:
+    @pytest.mark.parametrize("truncation", [1, 2, 3])
+    def test_gate_circuit_is_unitary(self, truncation):
+        u, _ = circuit_unitary(gate_circuit(), truncation)
+        assert np.abs(u.conj().T @ u - np.eye(len(u))).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_equals_dense_single_photon(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        s = random_full_state(rng, 3, paths=("in", "vac"))
+        sparse = apply_circuit(gate_circuit(), s, wrap_guard=None)
+        dense = dense_apply(gate_circuit(), s)
+        for key in set(sparse.amplitudes) | set(dense.amplitudes):
+            assert abs(sparse.get(key) - dense.get(key)) < 1e-10
+
+    @pytest.mark.parametrize("slot", [1, 2, "both"])
+    def test_sparse_equals_dense_pair(self, slot):
+        s = random_two_photon(np.random.default_rng(950), 3, n_terms=12)
+        sparse = apply_circuit(gate_circuit(), s, slot=slot, wrap_guard=None)
+        dense = dense_apply(gate_circuit(), s, slot=slot)
+        for key in set(sparse.amplitudes) | set(dense.amplitudes):
+            assert abs(sparse.get(key) - dense.get(key)) < 1e-10
+
+    @pytest.mark.parametrize("gate,edge", [(pc_o_gate, mode(4, V)),
+                                           (oc_p_gate, mode(4, V))])
+    def test_one_guard_sum_over_every_path(self, gate, edge):
+        # 0.6 * WRAP_GUARD wraps on each of two paths: neither share alone
+        # trips the guard, their sum does.
+        share = math.sqrt(0.6 * WRAP_GUARD)
+        rest = math.sqrt(1.0 - 2.0 * share ** 2)
+        one = PhotonState({edge: share, mode(0, H): rest}, 4)
+        gate(one)
+        two = PhotonState({edge: share, edge._replace(path="aux"): share,
+                           mode(0, H): rest}, 4)
+        with pytest.raises(WrapGuardError):
+            gate(two)
+        pair = TwoPhotonState({(edge, mode(0)): share,
+                               (edge._replace(path="aux"), mode(0)): share,
+                               (mode(0), mode(0)): rest}, 4)
+        with pytest.raises(WrapGuardError):
+            gate(pair, slot=1)
+        gate(pair, slot=2)
+
+    @pytest.mark.parametrize("gate", [oc_p_gate, pc_o_gate])
+    def test_pair_slot_must_be_one_or_two(self, gate):
+        pair = hyper_source(canonical_pair_spectrum(), 4)
+        for slot in ("both", 0, 3):
+            with pytest.raises(ValueError):
+                gate(pair, slot=slot)
 
 
 class TestSorter:
@@ -344,6 +461,11 @@ class TestCircuits:
     def test_detector_paths_validated(self):
         with pytest.raises(ValueError):
             Circuit("bad", (), "in", ("nowhere",))
+
+    def test_repeated_detector_paths_rejected(self):
+        # A repeated detector would read as one entry of the readout.
+        with pytest.raises(ValueError, match="detector paths must be distinct"):
+            Circuit("x", (mirror("in", "a"),), "in", ("a", "a"))
 
     def test_paths_are_built_once_in_first_use_order(self):
         circuit = build_soba()
@@ -451,39 +573,70 @@ def with_all_detectors(circuit):
     return Circuit(circuit.name, circuit.elements, circuit.input_path, circuit.paths())
 
 
-def random_pool_pair(rng, truncation):
-    """Product of two random single-photon states over three pool paths."""
-    a = random_full_state(rng, truncation, paths=pool_paths()[:3])
-    b = random_full_state(rng, truncation, paths=pool_paths()[:3])
+def random_pool_pair(rng, truncation, margin=0):
+    """Product of two random single-photon states over three pool paths,
+    each with |m| <= K - margin."""
+    a = random_full_state(rng, truncation, paths=pool_paths()[:3], margin=margin)
+    b = random_full_state(rng, truncation, paths=pool_paths()[:3], margin=margin)
     return TwoPhotonState({(k1, k2): x * y for k1, x in a.amplitudes.items()
                            for k2, y in b.amplitudes.items()}, truncation)
 
 
+def readout_guard(read, apply) -> bool:
+    """Check that a readout guards the band edge as apply_circuit does by
+    default: `read()` raises the WrapGuardError that `apply()` raises, and
+    passes where it passes.  Returns whether the guard fired."""
+    try:
+        apply()
+    except WrapGuardError as err:
+        with pytest.raises(WrapGuardError, match=f"^{re.escape(str(err))}$"):
+            read()
+        return True
+    read()
+    return False
+
+
+def plate_order(circuit) -> int:
+    """The most the circuit's spiral plates can shift one mode's m."""
+    return sum(abs(e.params["q"]) for e in circuit.elements if e.kind == "spp")
+
+
 class TestReadout:
-    """readout/joint_readout give exactly the per-port detect/coincidence_detect values."""
+    """readout/joint_readout give exactly the per-port detect/coincidence_detect
+    values on states clear of the band edge (|m| <= K - 1, each built-in
+    setup shifting m by at most 1), and always guard that edge: every setup
+    but the plate-free sorter raises on a state that fills the band."""
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_SETUPS))
     @pytest.mark.parametrize("seed", range(3))
     def test_builtin_single_photon(self, name, seed):
         rng = np.random.default_rng(300 + seed)
         circuit = BUILTIN_SETUPS[name]()
-        state = random_full_state(rng, 4)
-        probs = readout(circuit, state, wrap_guard=None)
-        out = apply_circuit(circuit, state, wrap_guard=None)
+        full = random_full_state(rng, 4)
+        state = random_full_state(rng, 4, margin=1)
+        probs = readout(circuit, state)
+        out = apply_circuit(circuit, state)
         assert tuple(probs) == circuit.detector_paths
         assert probs == {p: detect(out, p) for p in circuit.detector_paths}
+        assert readout_guard(lambda: readout(circuit, full),
+                             lambda: apply_circuit(circuit, full)) is (name != "sorter")
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_SETUPS))
     def test_builtin_pair(self, name):
         rng = np.random.default_rng(310)
         circuit = BUILTIN_SETUPS[name]()
-        pair = random_two_photon(rng, 4, n_terms=10)
-        probs = joint_readout(circuit, circuit, pair, wrap_guard=None)
-        out = apply_circuit(circuit, pair, slot=1, wrap_guard=None)
-        out = apply_circuit(circuit, out, slot=2, wrap_guard=None)
+        full = random_two_photon(rng, 4, n_terms=10)
+        pair = random_two_photon(rng, 4, n_terms=10, margin=1)
+        probs = joint_readout(circuit, circuit, pair)
+        out = apply_circuit(circuit, pair, slot=1)
+        out = apply_circuit(circuit, out, slot=2)
         dets = circuit.detector_paths
         assert list(probs) == [(a, b) for a in dets for b in dets]
         assert probs == {(a, b): coincidence_detect(out, a, b) for a, b in probs}
+        assert readout_guard(
+            lambda: joint_readout(circuit, circuit, full),
+            lambda: apply_circuit(circuit, apply_circuit(circuit, full, slot=1), slot=2),
+        ) is (name != "sorter")
 
     def test_projection_pair_with_two_circuits(self):
         rng = np.random.default_rng(311)
@@ -498,23 +651,31 @@ class TestReadout:
         rng = np.random.default_rng(320 + seed)
         c1 = with_all_detectors(random_circuit(rng, int(rng.integers(1, 9))))
         c2 = with_all_detectors(random_circuit(rng, int(rng.integers(1, 9))))
-        single = random_full_state(rng, 2, paths=pool_paths()[:2])
-        out = apply_circuit(c1, single, wrap_guard=None)
-        assert readout(c1, single, wrap_guard=None) == {
-            p: detect(out, p) for p in c1.detector_paths}
-        pair = random_pool_pair(rng, 2)
-        out = apply_circuit(c1, pair, slot=1, wrap_guard=None)
-        out = apply_circuit(c2, out, slot=2, wrap_guard=None)
-        probs = joint_readout(c1, c2, pair, wrap_guard=None)
+        full = random_full_state(rng, 2, paths=pool_paths()[:2])
+        readout_guard(lambda: readout(c1, full), lambda: apply_circuit(c1, full))
+        full = random_pool_pair(rng, 2)
+        readout_guard(lambda: joint_readout(c1, c2, full),
+                      lambda: apply_circuit(c2, apply_circuit(c1, full, slot=1), slot=2))
+        # |m| <= 1 at a K past the most either circuit's plates add to it
+        k = 1 + max(1, plate_order(c1), plate_order(c2))
+        single = random_full_state(rng, k, paths=pool_paths()[:2], margin=k - 1)
+        out = apply_circuit(c1, single)
+        assert readout(c1, single) == {p: detect(out, p) for p in c1.detector_paths}
+        pair = random_pool_pair(rng, k, margin=k - 1)
+        out = apply_circuit(c1, pair, slot=1)
+        out = apply_circuit(c2, out, slot=2)
+        probs = joint_readout(c1, c2, pair)
         assert probs == {(a, b): coincidence_detect(out, a, b) for a, b in probs}
         assert sum(probs.values()) <= 1.0 + 1e-12
         # the built-in setups too, with a detector and amplitude on every path
         for name in sorted(BUILTIN_SETUPS):
             circuit = with_all_detectors(BUILTIN_SETUPS[name]())
-            single = random_full_state(rng, 2, paths=circuit.paths())
-            out = apply_circuit(circuit, single, wrap_guard=None)
-            assert readout(circuit, single, wrap_guard=None) == {
-                p: detect(out, p) for p in circuit.detector_paths}
+            full = random_full_state(rng, 2, paths=circuit.paths())
+            assert readout_guard(lambda: readout(circuit, full),
+                                 lambda: apply_circuit(circuit, full)) is (name != "sorter")
+            single = random_full_state(rng, 2, paths=circuit.paths(), margin=1)
+            out = apply_circuit(circuit, single)
+            assert readout(circuit, single) == {p: detect(out, p) for p in circuit.detector_paths}
 
     def test_dark_detector_reads_zero(self):
         # "c" is fed only from the empty path "b".
@@ -530,8 +691,6 @@ class TestReadout:
         state = PhotonState({mode(2): 1.0}, 2)
         with pytest.raises(WrapGuardError):
             readout(build_s2_setup(), state)
-        assert sum(readout(build_s2_setup(), state, wrap_guard=None).values()) == \
-            pytest.approx(1.0, abs=1e-12)
         pair = TwoPhotonState({(mode(0), mode(2)): 1.0}, 2)
         with pytest.raises(WrapGuardError):
             joint_readout(build_sorter(), build_s2_setup(), pair)
@@ -665,14 +824,16 @@ class TestDetectors:
         rng = np.random.default_rng(330)
         for name in sorted(BUILTIN_SETUPS):
             circuit = BUILTIN_SETUPS[name]()
-            single = random_full_state(rng, 4)
-            out = apply_circuit(circuit, single, wrap_guard=None)
-            assert readout(circuit, single, wrap_guard=None) == {
-                p: detect(out, p) for p in circuit.detector_paths}
-            pair = random_two_photon(rng, 4, n_terms=10)
-            probs = joint_readout(circuit, circuit, pair, wrap_guard=None)
-            out = apply_circuit(circuit, pair, slot=1, wrap_guard=None)
-            out = apply_circuit(circuit, out, slot=2, wrap_guard=None)
+            full = random_full_state(rng, 4)
+            assert readout_guard(lambda: readout(circuit, full),
+                                 lambda: apply_circuit(circuit, full)) is (name != "sorter")
+            single = random_full_state(rng, 4, margin=1)
+            out = apply_circuit(circuit, single)
+            assert readout(circuit, single) == {p: detect(out, p) for p in circuit.detector_paths}
+            pair = random_two_photon(rng, 4, n_terms=10, margin=1)
+            probs = joint_readout(circuit, circuit, pair)
+            out = apply_circuit(circuit, pair, slot=1)
+            out = apply_circuit(circuit, out, slot=2)
             assert probs == {(a, b): coincidence_detect(out, a, b) for a, b in probs}
 
     @pytest.mark.parametrize("label", [5, ["in"], None, ("in",), b"in"])

@@ -195,6 +195,10 @@ class TestParityMarginals:
         with pytest.raises(NormalizationError):
             parity_marginals(TwoPhotonState({(mode(0), mode(0)): 0.7}, 2))
 
+    def test_rejects_a_single_photon(self):
+        with pytest.raises(TypeError, match="expected a TwoPhotonState, got PhotonState"):
+            parity_marginals(PhotonState({mode(0): 1.0}, 2))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_sums_to_one(self, seed):
         rng = np.random.default_rng(seed)

@@ -4,25 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from oamsim.elements import (
-    WRAP_GUARD,
-    Circuit,
-    Element,
-    WrapGuardError,
-    apply_circuit,
-    beam_splitter,
-    circuit_unitary,
-    dense_apply,
-    detect,
-    half_wave_plate,
-    spiral_phase_plate,
-)
+from oamsim.elements import dense_apply, detect
 from oamsim.hilbert import (
     H,
     V,
     PhotonState,
     SpectrumModel,
-    TwoPhotonState,
     inner_product,
     mode,
 )
@@ -36,8 +23,6 @@ from oamsim.soba import (
     hbsa_decode,
     joint_soba,
     normalize_polarization_label,
-    oc_p_gate,
-    pc_o_gate,
     soba_route,
 )
 from oamsim.sources import (
@@ -47,124 +32,10 @@ from oamsim.sources import (
     prepare_single_photon_bell,
 )
 from oamsim import soba
-from helpers import random_full_state, random_two_photon, reference_dense_coding_roundtrip
+from helpers import reference_dense_coding_roundtrip
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SPIN_LABELS = ("psi+", "psi-", "phi+", "phi-")
-
-
-class TestGates:
-    def test_oc_p_branches(self):
-        out = oc_p_gate(PhotonState({mode(1, H): 1.0}, 4))
-        (key, amp), = out.amplitudes.items()
-        assert key.pol == V and key.m % 2 == 0 and amp == pytest.approx(1.0)
-
-        out = oc_p_gate(PhotonState({mode(0, H): 1.0}, 4))
-        assert out.get(mode(0, H)) == pytest.approx(1.0)
-
-        out = oc_p_gate(PhotonState({mode(0, V): 1.0}, 4))
-        (key, amp), = out.amplitudes.items()
-        assert key.pol == V and key.m % 2 == 1
-
-        out = oc_p_gate(PhotonState({mode(1, V): 1.0}, 4))
-        assert out.get(mode(1, H)) == pytest.approx(1.0)
-
-    def test_oc_p_parity_level_permutation_is_unitary(self):
-        # coarse-grain the action onto the (parity, polarization) square
-        labels = [("even", H), ("odd", H), ("even", V), ("odd", V)]
-        reps = {("even", H): mode(0, H), ("odd", H): mode(1, H),
-                ("even", V): mode(0, V), ("odd", V): mode(1, V)}
-        u = np.zeros((4, 4), dtype=complex)
-        for col, lab in enumerate(labels):
-            out = oc_p_gate(PhotonState({reps[lab]: 1.0}, 4))
-            for key, amp in out.amplitudes.items():
-                row = labels.index(("even" if key.m % 2 == 0 else "odd", key.pol))
-                u[row, col] += amp
-        assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
-
-    def test_pc_o_branches(self):
-        out = pc_o_gate(PhotonState({mode(0, V): 1.0}, 4))
-        assert out.get(mode(1, V)) == pytest.approx(1.0)
-        out = pc_o_gate(PhotonState({mode(0, H): 1.0}, 4))
-        assert out.get(mode(0, H)) == pytest.approx(1.0)
-
-    def test_pc_o_twice_restores_parity(self):
-        s = PhotonState({mode(0, V): SQ2, mode(1, H): SQ2}, 6)
-        out = pc_o_gate(pc_o_gate(s))
-        for key, amp in out.amplitudes.items():
-            if key.pol == V:
-                assert key.m % 2 == 0  # started even, flipped twice
-        assert abs(out.norm() - 1.0) < 1e-12
-
-    def test_wrap_guard_at_band_edge(self):
-        with pytest.raises(WrapGuardError):
-            pc_o_gate(PhotonState({mode(4, V): 1.0}, 4))
-        with pytest.raises(WrapGuardError):
-            oc_p_gate(PhotonState({mode(1, H): 1.0}, 1))
-
-
-def gate_circuit() -> Circuit:
-    """Two paths, both gates, and ordinary elements around them."""
-    return Circuit("gates", (
-        beam_splitter("in", "vac", "a", "b", t=0.6),
-        Element("oc_p", ("a", "b"), ("a", "b")),
-        spiral_phase_plate("a", -1),
-        half_wave_plate("b", 0.3),
-        Element("pc_o", ("a",), ("a",)),
-        Element("oc_p", ("b",), ("b",)),
-        beam_splitter("a", "b", "c", "d"),
-    ), "in", ())
-
-
-class TestGatesUnderTheDenseOracle:
-    @pytest.mark.parametrize("truncation", [1, 2, 3])
-    def test_gate_circuit_is_unitary(self, truncation):
-        u, _ = circuit_unitary(gate_circuit(), truncation)
-        assert np.abs(u.conj().T @ u - np.eye(len(u))).max() < 1e-12
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_sparse_equals_dense_single_photon(self, seed):
-        rng = np.random.default_rng(900 + seed)
-        s = random_full_state(rng, 3, paths=("in", "vac"))
-        sparse = apply_circuit(gate_circuit(), s, wrap_guard=None)
-        dense = dense_apply(gate_circuit(), s)
-        for key in set(sparse.amplitudes) | set(dense.amplitudes):
-            assert abs(sparse.get(key) - dense.get(key)) < 1e-10
-
-    @pytest.mark.parametrize("slot", [1, 2, "both"])
-    def test_sparse_equals_dense_pair(self, slot):
-        s = random_two_photon(np.random.default_rng(950), 3, n_terms=12)
-        sparse = apply_circuit(gate_circuit(), s, slot=slot, wrap_guard=None)
-        dense = dense_apply(gate_circuit(), s, slot=slot)
-        for key in set(sparse.amplitudes) | set(dense.amplitudes):
-            assert abs(sparse.get(key) - dense.get(key)) < 1e-10
-
-    @pytest.mark.parametrize("gate,edge", [(pc_o_gate, mode(4, V)),
-                                           (oc_p_gate, mode(4, V))])
-    def test_one_guard_sum_over_every_path(self, gate, edge):
-        # 0.6 * WRAP_GUARD wraps on each of two paths: neither share alone
-        # trips the guard, their sum does.
-        share = math.sqrt(0.6 * WRAP_GUARD)
-        rest = math.sqrt(1.0 - 2.0 * share ** 2)
-        one = PhotonState({edge: share, mode(0, H): rest}, 4)
-        gate(one)
-        two = PhotonState({edge: share, edge._replace(path="aux"): share,
-                           mode(0, H): rest}, 4)
-        with pytest.raises(WrapGuardError):
-            gate(two)
-        pair = TwoPhotonState({(edge, mode(0)): share,
-                               (edge._replace(path="aux"), mode(0)): share,
-                               (mode(0), mode(0)): rest}, 4)
-        with pytest.raises(WrapGuardError):
-            gate(pair, slot=1)
-        gate(pair, slot=2)
-
-    @pytest.mark.parametrize("gate", [oc_p_gate, pc_o_gate])
-    def test_pair_slot_must_be_one_or_two(self, gate):
-        pair = hyper_source(canonical_pair_spectrum(), 4)
-        for slot in ("both", 0, 3):
-            with pytest.raises(ValueError):
-                gate(pair, slot=slot)
 
 
 class TestRouting:
@@ -202,12 +73,21 @@ class TestRouting:
         with pytest.raises(ValueError):
             soba_route(PhotonState({mode(0, H, "elsewhere"): 1.0}, 4))
 
+    def test_a_pair_is_rejected(self):
+        pair = hyper_source(canonical_pair_spectrum(), 4)
+        with pytest.raises(TypeError, match="expected a PhotonState, got TwoPhotonState"):
+            soba_route(pair)
+
     def test_works_at_minimal_band(self):
         dist = soba_route(prepare_single_photon_bell("psi+", truncation=1))
         assert dist["D1"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEncoding:
+    def test_a_single_photon_is_rejected(self):
+        with pytest.raises(TypeError, match="expected a TwoPhotonState, got PhotonState"):
+            encode_polarization_bell(prepare_single_photon_bell("psi+"), "Phi+")
+
     def test_identity_encoding(self):
         state = hyper_source(canonical_pair_spectrum(), 8)
         encoded = encode_polarization_bell(state, "Phi+")

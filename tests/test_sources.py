@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oamsim.elements import apply_element, half_wave_plate
+from oamsim.elements import apply_element, half_wave_plate, pc_o_gate
 from oamsim.hilbert import (
     EVEN,
     H,
@@ -16,7 +16,6 @@ from oamsim.hilbert import (
     mode,
     parity_marginals,
 )
-from oamsim.soba import pc_o_gate
 from oamsim.sources import (
     PRODUCT_HH,
     SourceSpec,
@@ -224,6 +223,12 @@ class TestHybrid:
         gauss = spdc(SourceSpec(0, SpectrumModel.uniform(), PRODUCT_HH, 8))
         with pytest.raises(ValueError):
             hybrid_two_photon(gauss)
+
+
+@pytest.mark.parametrize("func", [hybrid_two_photon, postselect_partner])
+def test_a_single_photon_is_rejected(func):
+    with pytest.raises(TypeError, match="expected a TwoPhotonState, got PhotonState"):
+        func(prepare_single_photon_bell("psi+"))
 
 
 class TestSpinOrbitBellStates:

@@ -5,13 +5,13 @@ effective configuration, and the results; identical (command, config, seed)
 invocations produce byte-identical output.  Angles are accepted in degrees
 and converted once at this boundary.
 
-Exit codes: 0 success, 2 validation error (including an input mode outside
-the band, a `state` option its --kind does not read and a `tomography --csv`
-path that cannot be written), 3 guard error from the core (weight pushed
-across the truncation band edge, or an analytic CHSH value above the
-Tsirelson bound 2*sqrt(2)), 4 internal error: any other exception while
-building or serializing a report, printed as
-{"error": {"code": "internal", "message": "<type>: <text>"}}.
+Exit codes: 0 success, 2 validation error (including an input mode outside the
+band, a `state` option its --kind does not read, a `tomography --csv` path
+that cannot be written, invalid or too deeply nested JSON and an oversize
+config file), 3 guard error from the core (weight pushed across the truncation
+band edge, or an analytic CHSH value above the Tsirelson bound 2*sqrt(2)), 4
+internal error: any other exception while building or serializing a report,
+printed with the code "internal" and the message "<type>: <text>".
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ EXIT_GUARD = 3
 EXIT_INTERNAL = 4
 
 CONFIG_ENV = "OAMSIM_CONFIG"
+# The config file is read up to Linux's per-argument limit MAX_ARG_STRLEN,
+# 32 pages of 4 KiB, so it holds any value --spectrum or --state could carry.
+CONFIG_BYTES_LIMIT = 32 * 4096
 
 # Peak bytes per unit of K of the largest structure any command builds, that
 # of `bell --variant polarization` (tracemalloc, one fresh process per run:
@@ -113,23 +116,31 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+def _read(text: str | bytes, what: str, build):
+    """`build` of the JSON value in `text` (bytes read as UTF-8).  Any failure
+    is a ValidationError "<what>: <reason>", a KeyError's naming the key."""
+    try:
+        return build(json.loads(text if isinstance(text, str) else str(text, "utf-8")))
+    except (KeyError, TypeError, ValueError, IndexError, RecursionError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValidationError(f"{what}: {reason}") from exc
+
+
 def _env_defaults() -> dict:
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read(CONFIG_BYTES_LIMIT + 1)
+    except OSError as exc:
         raise ValidationError(f"cannot read config file {path!r}: {exc}") from exc
+    if len(raw) > CONFIG_BYTES_LIMIT:
+        raise ValidationError(f"config file {path!r} is larger than {CONFIG_BYTES_LIMIT} bytes")
+    data = _read(raw, f"cannot read config file {path!r}", lambda data: data)
     if not isinstance(data, dict):
         raise ValidationError("config file must contain a JSON object")
     return data
-
-
-def _reason(exc: Exception) -> str:
-    """Message of a parse failure; str(KeyError) is only the key's repr."""
-    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
 def _parse_spectrum(text: str | None) -> SpectrumModel:
@@ -142,10 +153,7 @@ def _parse_spectrum(text: str | None) -> SpectrumModel:
             raise ValidationError(f"bad gaussian spectrum {text!r}: {exc}") from exc
     if text == "canonical":
         return canonical_pair_spectrum()
-    try:
-        return SpectrumModel.from_dict(json.loads(text))
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        raise ValidationError(f"bad spectrum {text!r}: {_reason(exc)}") from exc
+    return _read(text, f"bad spectrum {text!r}", SpectrumModel.from_dict)
 
 
 def _parse_state(text: str, truncation: int) -> PhotonState:
@@ -154,27 +162,24 @@ def _parse_state(text: str, truncation: int) -> PhotonState:
                                           truncation)
     except ValueError:
         pass
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad state {text!r}: {exc}") from exc
-    try:
-        if "coeffs" in data:
-            amps = {mode(m): c for m, c in parse_coeff_rows(data["coeffs"]).items()}
-        elif "terms" in data:
-            amps = {}
-            for term in data["terms"]:
-                key = mode(term["m"], str(term.get("pol", "H")), str(term.get("path", "in")))
-                # Every setup takes its photon on path "in"; weight elsewhere
-                # would pass every detector by.
-                if key.path != "in":
-                    raise ValueError(f"state terms must be on path 'in', got {key.path!r}")
-                add_amplitude(amps, key, term.get("re", 0.0), term.get("im", 0.0))
-        else:
-            raise ValueError("state JSON needs 'coeffs' or 'terms'")
-        return PhotonState(amps, truncation).normalized()
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ValidationError(f"bad state {text!r}: {_reason(exc)}") from exc
+    return _read(text, f"bad state {text!r}", lambda data: _state(data, truncation))
+
+
+def _state(data, truncation: int) -> PhotonState:
+    if "coeffs" in data:
+        amps = {mode(m): c for m, c in parse_coeff_rows(data["coeffs"]).items()}
+    elif "terms" in data:
+        amps = {}
+        for term in data["terms"]:
+            key = mode(term["m"], str(term.get("pol", "H")), str(term.get("path", "in")))
+            # Every setup takes its photon on path "in"; weight elsewhere
+            # would pass every detector by.
+            if key.path != "in":
+                raise ValueError(f"state terms must be on path 'in', got {key.path!r}")
+            add_amplitude(amps, key, term.get("re", 0.0), term.get("im", 0.0))
+    else:
+        raise ValueError("state JSON needs 'coeffs' or 'terms'")
+    return PhotonState(amps, truncation).normalized()
 
 
 def _base_config(args, spectrum: SpectrumModel | None = None) -> dict:

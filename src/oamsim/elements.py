@@ -453,6 +453,8 @@ class Circuit:
     detector_paths: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "detector_paths", _port_paths(self.detector_paths))
         seen: dict[str, None] = {self.input_path: None}
         for elem in self.elements:
             for p in elem.paths():

@@ -635,6 +635,92 @@ class TestMalformedInput:
         assert reason in report["error"]["message"]
 
 
+DEEP = "[" * 50_000  # far past any recursion limit of the JSON decoder
+HUGE_INT = "9" * 5_000  # past CPython's 4,300-digit limit of int() on text
+
+
+class _CountingFile:
+    """A file that counts what it hands out."""
+
+    def __init__(self, fh):
+        self.fh, self.served = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def read(self, size=-1):
+        data = self.fh.read(size)
+        self.served += len(data)
+        return data
+
+
+class TestJsonInputs:
+    """--state, --spectrum and the config file decode through one reader:
+    any text its decoder or its builder rejects is exit 2, naming the input."""
+
+    @pytest.fixture
+    def config(self, tmp_path, monkeypatch):
+        def config(data: bytes) -> str:
+            path = tmp_path / "config.json"
+            path.write_bytes(data)
+            monkeypatch.setenv(cli.CONFIG_ENV, str(path))
+            return f"cannot read config file {str(path)!r}: "
+        return config
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (("sorter", "--state", DEEP), "bad state '[[["),
+        (("tomography", "--state", '{"coeffs": ' + DEEP + "]" * 50_000 + "}"),
+         "bad state '{\"coeffs\": [[["),
+        ((*BELL_ARGS, "--spectrum", DEEP), "bad spectrum '[[["),
+    ], ids=["sorter_state", "tomography_coeffs", "bell_spectrum"])
+    def test_deep_nesting_in_an_option(self, capsys, argv, prefix):
+        message = assert_one_json_error(capsys, argv)["message"]
+        assert message.startswith(prefix) and "maximum recursion depth" in message
+
+    def test_deep_nesting_in_the_config_file(self, capsys, config):
+        prefix = config(DEEP.encode())
+        message = assert_one_json_error(capsys, ("sorter", "--m", "1"))["message"]
+        assert message.startswith(prefix) and "maximum recursion depth" in message
+
+    def test_a_huge_integer_names_the_state(self, capsys):
+        state = '{"coeffs": [[' + HUGE_INT + ", 1]]}"
+        message = assert_one_json_error(capsys, ("sorter", "--state", state))["message"]
+        assert message.startswith(f"bad state {state!r}: ")
+
+    @pytest.mark.parametrize("data", [
+        b'{"seed": 1, "x": "\xff"}',
+        '{"seed": 1}'.encode("utf-8-sig"),
+        '{"seed": 1}'.encode("utf-16"),
+    ], ids=["not_utf8", "utf8_bom", "utf16"])
+    def test_a_config_file_not_in_plain_utf8(self, capsys, config, data):
+        prefix = config(data)
+        assert assert_one_json_error(capsys, ("sorter", "--m", "1"))["message"].startswith(prefix)
+
+    def test_a_config_file_at_the_cap_is_read(self, capsys, config):
+        config(b'{"seed": 5}'.ljust(cli.CONFIG_BYTES_LIMIT))
+        code, report = run_json(capsys, "sorter", "--m", "1")
+        assert code == 0 and report["config"]["seed"] == 5
+
+    def test_a_config_file_one_byte_past_the_cap(self, capsys, config):
+        config(b'{"seed": 5}'.ljust(cli.CONFIG_BYTES_LIMIT + 1))
+        message = assert_one_json_error(capsys, ("sorter", "--m", "1"))["message"]
+        assert message.endswith(f"is larger than {cli.CONFIG_BYTES_LIMIT} bytes")
+
+    def test_no_more_than_the_cap_and_one_byte_is_read(self, capsys, config, monkeypatch):
+        config(b" " * 2 ** 20)
+        files = []
+
+        def counting_open(*args, **kwargs):
+            files.append(_CountingFile(open(*args, **kwargs)))
+            return files[-1]
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        assert_one_json_error(capsys, ("sorter", "--m", "1"))
+        assert [fh.served for fh in files] == [cli.CONFIG_BYTES_LIMIT + 1]
+
+
 # JSON values a --state payload may carry where a number belongs: mostly
 # valid non-zero numbers, otherwise NaN, infinities, overflowing or tiny
 # magnitudes, bools, null, strings and lists.
@@ -688,14 +774,16 @@ class TestStatePayloadProperty:
 
 
 # Tokens an argv may carry: valid and invalid numbers, huge integers, string
-# option values, unknown and abbreviated flags.  No token is a prefix of
-# --help, which prints usage text instead of a report.
+# option values (JSON nested past the decoder's depth and JSON holding an
+# integer past int()'s digit limit among them), unknown and abbreviated
+# flags.  No token is a prefix of --help, which prints usage text instead of a
+# report.
 _NUMBERS = ["0", "1", "-1", "3", "8", "45", "2.5", "1e308", "nan", "-inf", "abc",
             "9223372036854775807", "9223372036854775808", "99999999999999999999",
             "10000000"]
 _WORDS = ["psi+", "phi-", "01", "json", "xml", "hyper", "bell", "polarization",
           "gaussian:2", "gaussian:0", "canonical", '{"coeffs":[[0,1],[1,1]]}',
-          '{"terms":[{"m":0,"re":1}]}', "{"]
+          '{"terms":[{"m":0,"re":1}]}', "{", DEEP, '{"coeffs":[[' + HUGE_INT + ",1]]}"]
 _FLAGS = ["-K", "--truncation", "--spectrum", "--shots", "--seed", "--format", "--m",
           "--state", "--theta", "--theta2", "--chi", "--chi2", "--variant", "--rounds",
           "--message", "--kind", "--pump", "--pol", "--label", "--thet", "--sho",

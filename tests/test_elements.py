@@ -467,6 +467,17 @@ class TestCircuits:
         with pytest.raises(ValueError, match="detector paths must be distinct"):
             Circuit("x", (mirror("in", "a"),), "in", ("a", "a"))
 
+    def test_a_bare_string_of_detector_paths_is_rejected(self):
+        # Its letters would read as the one-letter detectors "a" and "c".
+        with pytest.raises(ValueError, match="got the string 'ac'"):
+            Circuit("x", (mirror("in", "a"), mirror("b", "c")), "in", "ac")
+
+    def test_lists_are_stored_as_tuples(self):
+        circuit = Circuit("x", [mirror("in", "a")], "in", ["a"])
+        want = Circuit("x", (mirror("in", "a"),), "in", ("a",))
+        assert circuit == want and hash(circuit) == hash(want)
+        assert type(circuit.elements) is tuple and type(circuit.detector_paths) is tuple
+
     def test_paths_are_built_once_in_first_use_order(self):
         circuit = build_soba()
         assert circuit.paths() is circuit.paths()
